@@ -1,6 +1,6 @@
 // Block-structured AMR gate: bitwise equivalence + flux-sweep speedup.
 //
-// Three sections from one binary (DESIGN.md §13):
+// Two sections from one binary (DESIGN.md §13):
 //   1. Bitwise gate: with --blocks=on the checkpoint after a
 //      rezone-heavy run must match the cell path's to the last bit, for
 //      every precision policy x SIMD shape x grid. The tile gather, the
@@ -10,12 +10,8 @@
 //      blocked sweep ("flux_sweep" timer, best-of-two) vs the cell path.
 //      The full run enforces the >= 2x acceptance floor on the
 //      minimum-precision native row.
-//   3. Distributed gate: the block-decomposed solver
-//      (par/dist_blocks.hpp) must reproduce the row-stripe solver's
-//      gather_height() bit-for-bit across rank count x schedule x SIMD
-//      for all three paper policies.
 //
-// `--quick` shrinks the grids for CI; both bitwise gates run in both
+// `--quick` shrinks the grids for CI; the bitwise gate runs in both
 // modes, the speedup floor is only enforced in the full run.
 
 #include <cstdio>
@@ -25,8 +21,6 @@
 
 #include "bench_common.hpp"
 #include "fp/half_policy.hpp"
-#include "par/dist_blocks.hpp"
-#include "par/dist_shallow.hpp"
 #include "util/cli.hpp"
 #include "util/threads.hpp"
 
@@ -74,40 +68,12 @@ SweepRun run_sweep(int grid, int levels, int steps, simd::Mode mode,
     return r;
 }
 
-template <typename P>
-std::vector<double> row_state(int grid, int steps) {
-    par::DistConfig cfg;
-    cfg.nx = cfg.ny = grid;
-    cfg.ranks = 1;
-    cfg.overlap = false;
-    cfg.simd = simd::Mode::Scalar;
-    par::DistributedShallowSolver<P> s(cfg);
-    s.initialize_dam_break();
-    s.run(steps);
-    return s.gather_height();
-}
-
-template <typename P>
-std::vector<double> block_state(int grid, int steps, int ranks,
-                                bool overlap, simd::Mode mode) {
-    par::DistConfig cfg;
-    cfg.nx = cfg.ny = grid;
-    cfg.ranks = ranks;
-    cfg.overlap = overlap;
-    cfg.simd = mode;
-    par::BlockDistributedShallowSolver<P> s(cfg);
-    s.initialize_dam_break();
-    s.run(steps);
-    return s.gather_height();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     util::ArgParser args("table_block_amr",
-                         "blocked AMR flux sweep: bitwise gates vs the "
-                         "cell path and the row-stripe distributed "
-                         "solver, plus the sweep speedup floor");
+                         "blocked AMR flux sweep: bitwise gate vs the "
+                         "cell path, plus the sweep speedup floor");
     args.add_int_option("grid", "coarse cells per side for the timing run",
                         "96");
     args.add_int_option("steps", "steps for the timing run", "200");
@@ -197,37 +163,6 @@ int main(int argc, char** argv) {
     time_row.template operator()<fp::MinimumPrecision>(
         "minimum/scalar", simd::Mode::Scalar, false);
     t2.print();
-    std::printf("\n");
-
-    // --- 3. Distributed block-decomposition gate ------------------------
-    const int dgrid = quick ? 24 : 48;
-    const int dsteps = quick ? 12 : 25;
-    util::TextTable t3("Bitwise gate: block solver vs row solver across "
-                       "rank count x schedule x SIMD (" +
-                       std::to_string(dgrid) + "^2, " +
-                       std::to_string(dsteps) + " steps)");
-    t3.set_header({"policy", "combos", "verdict"});
-    auto dist_gate = [&]<typename P>(const std::string& label) {
-        const auto ref = row_state<P>(dgrid, dsteps);
-        int combos = 0, bad = 0;
-        for (const int ranks : {1, 3, 9})
-            for (const bool overlap : {false, true})
-                for (const simd::Mode mode :
-                     {simd::Mode::Scalar, simd::Mode::Native}) {
-                    ++combos;
-                    if (block_state<P>(dgrid, dsteps, ranks, overlap,
-                                       mode) != ref)
-                        ++bad;
-                }
-        failures += bad;
-        t3.add_row({label, std::to_string(combos),
-                    bad == 0 ? "IDENTICAL"
-                             : std::to_string(bad) + " MISMATCH"});
-    };
-    dist_gate.template operator()<fp::MinimumPrecision>("minimum");
-    dist_gate.template operator()<fp::MixedPrecision>("mixed");
-    dist_gate.template operator()<fp::FullPrecision>("full");
-    t3.print();
 
     std::printf(
         "\nblocked flux-sweep speedup (minimum/native): %.2fx "

@@ -35,7 +35,6 @@ int run(const util::ArgParser& args) {
     cfg.geom = {0.0, 0.0, 100.0, 100.0, n, n, args.get_int("levels")};
     cfg.courant = args.get_double("courant");
     cfg.simd = util::apply_simd_option(args);
-    cfg.rezone_mode = util::apply_rezone_option(args);
     cfg.blocks = util::apply_blocks_option(args);
 
     shallow::DamBreak ic;
@@ -54,7 +53,6 @@ int run(const util::ArgParser& args) {
         args, "dam_break",
         {{"precision", std::string(Policy::name)},
          {"simd", simd::use_native(cfg.simd) ? simd::isa_name() : "scalar"},
-         {"rezone", shallow::rezone_mode_name(cfg.rezone_mode)},
          {"blocks", shallow::blocks_mode_name(cfg.blocks)},
          {"grid", std::to_string(n)},
          {"levels", std::to_string(cfg.geom.max_level)},
@@ -177,9 +175,8 @@ int run(const util::ArgParser& args) {
         solver.timers().total("flux_sweep"), solver.timers().total("cfl"),
         solver.timers().total("rezone"));
     std::printf(
-        "rezone phases (%s): flags %.3f s | adapt %.3f s | remap %.3f s | "
+        "rezone phases: flags %.3f s | adapt %.3f s | remap %.3f s | "
         "cache %.3f s\n",
-        shallow::rezone_mode_name(cfg.rezone_mode),
         solver.timers().total("rezone_flags"),
         solver.timers().total("rezone_adapt"),
         solver.timers().total("rezone_remap"),
@@ -265,7 +262,6 @@ int main(int argc, char** argv) {
     args.add_flag("verbose", "print periodic step diagnostics");
     util::add_checkpoint_options(args);
     util::add_simd_option(args);
-    util::add_rezone_option(args);
     util::add_blocks_option(args);
     util::add_threads_option(args);
     util::add_governor_options(args);

@@ -2,25 +2,33 @@
 // the overlapped/SIMD/load-balanced pipeline of par/dist_shallow with the
 // full flight-recorder surface (manifest, per-step metrics including halo
 // traffic, spans), so tp_report can diff runs and obs_check can validate
-// them exactly like the serial drivers. `--blocks=on` swaps the row-stripe
-// decomposition for the block-structured solver (par/dist_blocks.hpp) —
-// bitwise the same solution, per-block-face halos, whole-block rebalance.
+// them exactly like the serial drivers.
 //
 //   $ ./dam_break_dist --precision mixed --grid 256 --ranks 8
 //                      --overlap on --simd native --metrics run.jsonl
-//   $ ./dam_break_dist --blocks on --block 16 --ranks 8
+//
+// With --checkpoint the run ends by writing a sharded restart set (one
+// shard per rank plus a manifest, DESIGN.md §14.4); with --restart it
+// adopts such a set before stepping, at any rank count. The closing
+// `state digest` line (FNV-1a of the gathered height field) is the same
+// on every rank count and schedule, so two restarts of one set can be
+// compared by that line alone.
+//
+//   $ ./dam_break_dist --ranks 4 --steps 20 --checkpoint run.ck
+//   $ ./dam_break_dist --ranks 3 --steps 10 --restart run.ck
 
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "par/dist_blocks.hpp"
 #include "par/dist_shallow.hpp"
 #include "util/cli.hpp"
+#include "util/fnv.hpp"
 #include "util/format.hpp"
 #include "util/threads.hpp"
 #include "util/timing.hpp"
@@ -49,10 +57,44 @@ std::string byte_array(const std::vector<std::uint64_t>& v) {
     return out;
 }
 
-template <typename Policy, typename Solver>
-int run_solver(Solver& solver, const util::ArgParser& args,
-               const par::DistConfig& cfg, int nthreads) {
+template <typename Policy>
+int run(const util::ArgParser& args) {
+    par::DistConfig cfg;
+    cfg.nx = cfg.ny = args.get_int("grid");
+    cfg.ranks = args.get_int("ranks");
+    cfg.courant = args.get_double("courant");
+    cfg.simd = util::apply_simd_option(args);
+    cfg.lb_interval = args.get_int("lb-interval");
+    const std::string overlap = args.get_string("overlap");
+    if (overlap != "on" && overlap != "off")
+        throw std::invalid_argument("--overlap must be on or off");
+    cfg.overlap = overlap == "on";
+    const io::CheckpointOptions ckpt_opt = io::parse_checkpoint_compress(
+        args.get_string("checkpoint-compress"));
+    const std::string ckpt_base = args.get_string("checkpoint");
+    const std::string restart_base = args.get_string("restart");
+
+    const int nthreads = util::apply_threads_option(args);
+
+    const obs::ObsGuard obs_guard(
+        args, "dam_break_dist",
+        {{"precision", std::string(Policy::name)},
+         {"simd", simd::use_native(cfg.simd) ? simd::isa_name() : "scalar"},
+         {"grid", std::to_string(cfg.nx)},
+         {"ranks", std::to_string(cfg.ranks)},
+         {"overlap", overlap},
+         {"lb_interval", std::to_string(cfg.lb_interval)},
+         {"courant", std::to_string(cfg.courant)}});
+
+    par::DistributedShallowSolver<Policy> solver(cfg);
     solver.initialize_dam_break();
+    if (!restart_base.empty()) {
+        solver.restore_restart(restart_base);
+        std::printf("restarted from %s at step %lld (t=%.5f)\n",
+                    restart_base.c_str(),
+                    static_cast<long long>(solver.step_count()),
+                    solver.time());
+    }
     const double mass0 = solver.total_mass();
     std::printf(
         "initialized: %d x %d cells on %d ranks (%s schedule), initial "
@@ -149,67 +191,37 @@ int run_solver(Solver& solver, const util::ArgParser& args,
                 std::string(Policy::name).c_str());
     if (cfg.lb_interval > 0) {
         const auto& lb = solver.lb_stats();
-        unsigned long long moved = 0;
-        const char* unit = "rows";
-        if constexpr (requires { lb.rows_moved; }) {
-            moved = static_cast<unsigned long long>(lb.rows_moved);
-        } else {
-            moved = static_cast<unsigned long long>(lb.blocks_moved);
-            unit = "blocks";
-        }
         std::printf(
-            "load balancer: %llu evaluations, %llu re-splits, %llu %s "
+            "load balancer: %llu evaluations, %llu re-splits, %llu rows "
             "moved\n",
             static_cast<unsigned long long>(lb.evaluations),
-            static_cast<unsigned long long>(lb.resplits), moved, unit);
+            static_cast<unsigned long long>(lb.resplits),
+            static_cast<unsigned long long>(lb.rows_moved));
     }
     std::printf("mass drift: %+.3e (relative)\n",
                 (solver.total_mass() - mass0) / mass0);
+    if (!ckpt_base.empty()) {
+        const io::CheckpointWriteInfo info =
+            solver.write_restart(ckpt_base, ckpt_opt);
+        std::printf(
+            "checkpoint: %s.manifest + %d shards, %llu -> %llu bytes "
+            "(v%u)\n",
+            ckpt_base.c_str(), cfg.ranks,
+            static_cast<unsigned long long>(info.raw_bytes),
+            static_cast<unsigned long long>(info.written_bytes),
+            info.version);
+    }
+    const std::vector<double> h = solver.gather_height();
+    std::printf("state digest: %s\n",
+                util::digest_hex(util::fnv1a_bytes(
+                                     h.data(), h.size() * sizeof(double)))
+                    .c_str());
     if (!solver.comm_drained()) {
         std::fprintf(stderr,
                      "dam_break_dist: communicator not drained after run\n");
         return 1;
     }
     return 0;
-}
-
-template <typename Policy>
-int run(const util::ArgParser& args) {
-    par::DistConfig cfg;
-    cfg.nx = cfg.ny = args.get_int("grid");
-    cfg.ranks = args.get_int("ranks");
-    cfg.courant = args.get_double("courant");
-    cfg.simd = util::apply_simd_option(args);
-    cfg.lb_interval = args.get_int("lb-interval");
-    cfg.block = args.get_int("block");
-    const std::string overlap = args.get_string("overlap");
-    if (overlap != "on" && overlap != "off")
-        throw std::invalid_argument("--overlap must be on or off");
-    cfg.overlap = overlap == "on";
-    const bool blocks = util::apply_blocks_option(args);
-
-    const int nthreads = util::apply_threads_option(args);
-
-    const obs::ObsGuard obs_guard(
-        args, "dam_break_dist",
-        {{"precision", std::string(Policy::name)},
-         {"simd", simd::use_native(cfg.simd) ? simd::isa_name() : "scalar"},
-         {"grid", std::to_string(cfg.nx)},
-         {"ranks", std::to_string(cfg.ranks)},
-         {"overlap", overlap},
-         {"blocks", shallow::blocks_mode_name(blocks)},
-         {"lb_interval", std::to_string(cfg.lb_interval)},
-         {"courant", std::to_string(cfg.courant)}});
-
-    if (blocks) {
-        par::BlockDistributedShallowSolver<Policy> solver(cfg);
-        std::printf("block decomposition: %zu blocks of %d x %d cells\n",
-                    solver.num_blocks(), solver.block_edge(),
-                    solver.block_edge());
-        return run_solver<Policy>(solver, args, cfg, nthreads);
-    }
-    par::DistributedShallowSolver<Policy> solver(cfg);
-    return run_solver<Policy>(solver, args, cfg, nthreads);
 }
 
 }  // namespace
@@ -227,14 +239,21 @@ int main(int argc, char** argv) {
                         "re-split rows by measured cost every N steps "
                         "(0 = static partition)",
                         "0");
-    args.add_int_option("block",
-                        "block edge for --blocks=on (0 = auto; must "
-                        "divide the grid)",
-                        "0");
     args.add_double_option("courant", "CFL number", "0.2");
     args.add_flag("verbose", "print periodic step diagnostics");
+    args.add_option("checkpoint",
+                    "write a sharded restart set to this base path after "
+                    "the run; empty disables",
+                    "");
+    args.add_option("restart",
+                    "restore from this sharded restart set (written at any "
+                    "rank count) before stepping; empty starts from the "
+                    "initial condition",
+                    "");
+    args.add_option("checkpoint-compress",
+                    "restart shard payloads: off|drift|<bits in [2,32]>",
+                    "off");
     util::add_simd_option(args);
-    util::add_blocks_option(args);
     util::add_threads_option(args);
     obs::add_obs_options(args);
     if (!args.parse(argc, argv)) return 1;
@@ -257,6 +276,11 @@ int main(int argc, char** argv) {
     } catch (const std::invalid_argument& err) {
         std::fprintf(stderr, "dam_break_dist: %s\n%s", err.what(),
                      args.help().c_str());
+        return 1;
+    } catch (const std::exception& e) {
+        // Restart-set I/O failures (missing, corrupt, or mismatched
+        // shards): a clean nonzero exit instead of std::terminate.
+        std::fprintf(stderr, "dam_break_dist: %s\n", e.what());
         return 1;
     }
 }

@@ -61,9 +61,6 @@ struct DistConfig {
     /// steps (0 = keep the static partition). Bitwise invisible in the
     /// solution state: the re-split carries rows over exactly.
     int lb_interval = 0;
-    /// Block edge for the block-structured solver (par/dist_blocks.hpp);
-    /// 0 picks auto_block_edge(). The row solver ignores it.
-    int block = 0;
 };
 
 /// Per-rank wall seconds of one step's pipeline phases (cross-rank

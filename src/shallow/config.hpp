@@ -9,27 +9,6 @@
 
 namespace tp::shallow {
 
-/// How the solver refreshes its topology caches after an AMR adapt.
-/// Both modes produce bit-identical solutions; Full exists as the
-/// measured baseline the incremental pipeline is benchmarked against.
-enum class RezoneMode {
-    Incremental,  ///< dirty-span cache update + threaded slot resolve
-    Full,         ///< historic path: face-scan rebuild of every cache
-};
-
-/// Parse the CLI spelling ("incremental" | "full"); throws
-/// std::invalid_argument on anything else.
-inline RezoneMode parse_rezone_mode(const std::string& s) {
-    if (s == "incremental") return RezoneMode::Incremental;
-    if (s == "full") return RezoneMode::Full;
-    throw std::invalid_argument(
-        "rezone mode must be 'incremental' or 'full', got '" + s + "'");
-}
-
-[[nodiscard]] inline const char* rezone_mode_name(RezoneMode m) {
-    return m == RezoneMode::Incremental ? "incremental" : "full";
-}
-
 /// Parse the --blocks CLI spelling ("on" | "off"); throws
 /// std::invalid_argument on anything else.
 inline bool parse_blocks_mode(const std::string& s) {
@@ -57,8 +36,6 @@ struct Config {
                                          ///< finite_diff kernel (runtime
                                          ///< --simd=auto|scalar|native);
                                          ///< both paths are bit-identical
-    RezoneMode rezone_mode = RezoneMode::Incremental;  ///< runtime
-                                         ///< --rezone=incremental|full
     bool blocks = false;  ///< --blocks=on|off: run the flux sweep over
                           ///< dense SoA mesh-block tiles (bit-identical
                           ///< to the cell path; off preserves the cell

@@ -326,52 +326,6 @@ void ShallowWaterSolver<Policy>::rebuild_topology_caches() {
     rebuild_iteration_space();
 }
 
-// The historic rebuild: zero-fill the full slot tables, then scatter the
-// mesh face lists into them (which also pays for rebuilding those lists).
-// Kept verbatim as RezoneMode::Full — the measured pre-incremental
-// baseline and the bit-match reference for the tests.
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::rebuild_topology_caches_facescan() {
-    const std::size_t n = mesh_.num_cells();
-    dh_.assign(n, compute_t(0));
-    dhu_.assign(n, compute_t(0));
-    dhv_.assign(n, compute_t(0));
-    cfl_buf_.assign(n, compute_t(0));
-    inv_area_.resize(n);
-    const auto& cells = mesh_.cells();
-    for (std::size_t c = 0; c < n; ++c)
-        inv_area_[c] =
-            static_cast<compute_t>(1.0 / mesh_.cell_area(cells[c]));
-
-    nbr_idx_.assign(static_cast<std::size_t>(kSlots) * n, 0);
-    nbr_area_.assign(static_cast<std::size_t>(kSlots) * n, compute_t(0));
-    for (std::size_t c = 0; c < n; ++c)
-        for (int slot = 0; slot < kSlots; ++slot)
-            nbr_idx_[static_cast<std::size_t>(slot) * n + c] =
-                static_cast<std::int32_t>(c);
-    auto assign_slot = [&](std::int32_t cell, int base, std::int32_t nbr,
-                           double area) {
-        const auto c = static_cast<std::size_t>(cell);
-        const int slot =
-            nbr_area_[static_cast<std::size_t>(base) * n + c] == compute_t(0)
-                ? base
-                : base + 1;
-        nbr_idx_[static_cast<std::size_t>(slot) * n + c] = nbr;
-        nbr_area_[static_cast<std::size_t>(slot) * n + c] =
-            static_cast<compute_t>(area);
-    };
-    for (const mesh::Face& f : mesh_.x_faces()) {
-        assign_slot(f.lo, 2, f.hi, f.area);  // east side of lo
-        assign_slot(f.hi, 0, f.lo, f.area);  // west side of hi
-    }
-    for (const mesh::Face& f : mesh_.y_faces()) {
-        assign_slot(f.lo, 6, f.hi, f.area);  // north side of lo
-        assign_slot(f.hi, 4, f.lo, f.area);  // south side of hi
-    }
-    if (config_.blocks) block_index_.rebuild(mesh_);
-    rebuild_iteration_space();
-}
-
 template <fp::PrecisionPolicy Policy>
 std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
     const mesh::RemapPlan& plan) {
@@ -635,8 +589,8 @@ template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::compute_refinement_flags_facescan(
     std::vector<std::int8_t>& flags) const {
     const std::size_t n = mesh_.num_cells();
-    // Arena scratch: this runs every rezone_interval steps, so the jump
-    // buffer must not hit the heap at steady state.
+    // Arena scratch: the jump buffer is reused across the pre-refine
+    // passes instead of hitting the heap on each one.
     util::ScratchArena& arena = util::tls_arena();
     util::ArenaScope scope(arena);
     double* jump = arena.alloc<double>(n);
@@ -733,8 +687,6 @@ void ShallowWaterSolver<Policy>::remap_state(const mesh::RemapPlan& plan) {
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rezone() {
     TP_OBS_SPAN("clamr.rezone");
-    const bool incremental =
-        config_.rezone_mode == RezoneMode::Incremental;
     const std::uint64_t old_cells = mesh_.num_cells();
     const auto threads = static_cast<std::uint32_t>(util::max_threads());
     constexpr std::uint64_t ss = sizeof(storage_t);
@@ -745,22 +697,14 @@ void ShallowWaterSolver<Policy>::rezone() {
     util::WallTimer t_all;
     util::WallTimer t;
 
-    // Phase 1: refinement flags. Incremental mode reads the slot tables
-    // per cell; the Full baseline scans the (lazily rebuilt) face lists.
+    // Phase 1: refinement flags, read per cell off the slot tables.
     {
         TP_OBS_SPAN("clamr.rezone_flags");
-        if (incremental)
-            compute_refinement_flags(flags_scratch_);
-        else
-            compute_refinement_flags_facescan(flags_scratch_);
+        compute_refinement_flags(flags_scratch_);
     }
     const double s_flags = t.elapsed_seconds();
-    const std::uint64_t flags_bytes =
-        incremental
-            ? old_cells * (9 * ss + slot_bytes + 1)
-            : old_cells * (2 * 24 + 4 * ss + 4 * sizeof(double) + 1);
-    ledger_.record("rezone_flags", s_flags, 0, 0, flags_bytes, 0, 0,
-                   incremental ? threads : 1);
+    ledger_.record("rezone_flags", s_flags, 0, 0,
+                   old_cells * (9 * ss + slot_bytes + 1), 0, 0, threads);
     timers_.add("rezone_flags", s_flags);
 
     // Phase 2: mesh adapt (coarsen-group approval, emit, 2:1 balance, all
@@ -790,27 +734,19 @@ void ShallowWaterSolver<Policy>::rezone() {
                    (old_cells + new_cells) * 3 * ss, 0, 0, threads);
     timers_.add("rezone_remap", s_remap);
 
-    // Phase 4: topology caches — incremental translate of surviving
-    // cells' slots vs. the Full face-scan rebuild.
+    // Phase 4: topology caches — translate surviving cells' slots, resolve
+    // only the cells whose neighborhood changed.
     t.restart();
-    std::size_t resolved;
-    {
+    const std::size_t resolved = [&] {
         TP_OBS_SPAN("clamr.rezone_cache");
-        if (incremental) {
-            resolved = update_topology_caches(plan);
-        } else {
-            rebuild_topology_caches_facescan();
-            resolved = new_cells;
-        }
-    }
+        return update_topology_caches(plan);
+    }();
     const double s_cache = t.elapsed_seconds();
     const std::uint64_t cache_bytes =
-        incremental
-            ? (old_cells + new_cells) * slot_bytes + old_cells * 4 +
-                  new_cells * (sc + 4)
-            : new_cells * (2 * slot_bytes + 7 * sc + 2 * 24);
+        (old_cells + new_cells) * slot_bytes + old_cells * 4 +
+        new_cells * (sc + 4);
     ledger_.record("rezone_cache", s_cache, 0, 0, cache_bytes, 0, 0,
-                   incremental ? threads : 1);
+                   threads);
     timers_.add("rezone_cache", s_cache);
 
     // Aggregate timer kept for whole-rezone reporting (examples, tests).

@@ -224,18 +224,10 @@ public:
         return rezone_stats_;
     }
 
-    /// Slot-major neighbor tables (kSlots x ncells), exposed so tests can
-    /// compare incremental and full rebuilds element-wise.
-    [[nodiscard]] const std::vector<std::int32_t>& neighbor_indices() const {
-        return nbr_idx_;
-    }
-    [[nodiscard]] const std::vector<compute_t>& neighbor_areas() const {
-        return nbr_area_;
-    }
-
-    /// Recompute every topology cache from scratch via the historic
-    /// face-scan path into scratch buffers and compare bit-for-bit with
-    /// the live caches. Test/bench hook for the incremental update.
+    /// Recompute every topology cache from scratch (the slot tables by a
+    /// scan of the mesh face lists) into scratch buffers and compare
+    /// bit-for-bit with the live caches. Test hook for the incremental
+    /// update.
     [[nodiscard]] bool topology_caches_consistent() const;
 
     /// Attach (or detach, with nullptr) a runtime precision governor
@@ -265,8 +257,8 @@ private:
     /// appears in both endpoint cells' slots and the jump measure is
     /// symmetric, so this equals the historic face-scan bit-for-bit).
     void compute_refinement_flags(std::vector<std::int8_t>& flags) const;
-    /// Historic serial face-scan flags (RezoneMode::Full baseline; also
-    /// used during initialization, when the slot tables are stale).
+    /// Serial face-scan flags for initialize_dam_break's pre-refine
+    /// passes, where the slot tables are stale but the face lists are not.
     void compute_refinement_flags_facescan(
         std::vector<std::int8_t>& flags) const;
     void rezone();
@@ -281,8 +273,6 @@ private:
                            compute_t* area) const;
     /// From-scratch threaded per-cell rebuild (constructor / init).
     void rebuild_topology_caches();
-    /// Historic serial face-scan rebuild (RezoneMode::Full baseline).
-    void rebuild_topology_caches_facescan();
     /// Dirty-span incremental update: translate surviving cells' slots
     /// through the copy-span prefix-offset map, resolve only cells whose
     /// neighborhood changed. Returns the number of cells resolved.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "shallow/config.hpp"
 #include "util/threads.hpp"
 
 namespace tp::util {
@@ -200,18 +201,6 @@ void add_simd_option(ArgParser& args) {
 
 simd::Mode apply_simd_option(const ArgParser& args) {
     return simd::parse_mode(args.get_string("simd"));
-}
-
-void add_rezone_option(ArgParser& args) {
-    args.add_option("rezone",
-                    "Topology-cache refresh after AMR adapts: "
-                    "incremental|full (bit-identical solutions; full is the "
-                    "historic face-scan rebuild baseline)",
-                    "incremental");
-}
-
-shallow::RezoneMode apply_rezone_option(const ArgParser& args) {
-    return shallow::parse_rezone_mode(args.get_string("rezone"));
 }
 
 void add_blocks_option(ArgParser& args) {

@@ -11,7 +11,6 @@
 
 #include "fp/governor.hpp"
 #include "io/checkpoint.hpp"
-#include "shallow/config.hpp"
 #include "simd/dispatch.hpp"
 
 namespace tp::util {
@@ -91,14 +90,6 @@ void add_simd_option(ArgParser& args);
 
 /// Parse the `--simd` value; throws std::invalid_argument on junk.
 [[nodiscard]] simd::Mode apply_simd_option(const ArgParser& args);
-
-/// Register the standard `--rezone incremental|full` option selecting how
-/// the solver refreshes topology caches after an AMR adapt (bit-identical
-/// solutions; `full` is the measured pre-incremental baseline).
-void add_rezone_option(ArgParser& args);
-
-/// Parse the `--rezone` value; throws std::invalid_argument on junk.
-[[nodiscard]] shallow::RezoneMode apply_rezone_option(const ArgParser& args);
 
 /// Register the standard `--blocks on|off` option selecting whether the
 /// flux sweep runs over dense SoA mesh-block tiles (bit-identical

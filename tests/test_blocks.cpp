@@ -1,12 +1,9 @@
 // Block-structured-AMR contracts (DESIGN.md §13) that need their own
 // binary: the zero-steady-state-allocation guarantee of the blocked flux
-// sweep and of the block-distributed solver is checked with a global
-// operator-new counter (counters can't share a process with test_dist's),
-// plus the blocked-vs-cell bitwise matrix, the BlockIndex lifecycle
-// across rezones, the fill-mask/fallback partition invariant, the
-// distributed block solver's decomposition-invariance matrix against the
-// row-stripe solver, the per-phase halo byte accounting, and whole-block
-// load balancing.
+// sweep is checked with a global operator-new counter (counters can't
+// share a process with test_dist's), plus the blocked-vs-cell bitwise
+// matrix, the BlockIndex lifecycle across rezones, and the
+// fill-mask/fallback partition invariant.
 
 #include <gtest/gtest.h>
 
@@ -14,16 +11,12 @@
 #include <bit>
 #include <cstdlib>
 #include <new>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "fp/half_policy.hpp"
 #include "mesh/block_tree.hpp"
-#include "obs/trace.hpp"
-#include "par/dist_blocks.hpp"
-#include "par/dist_shallow.hpp"
 #include "shallow/solver.hpp"
 
 using namespace tp;
@@ -211,245 +204,6 @@ TEST(BlockedAllocations, SteadyStateStepIsAllocationFree) {
     s.run(5);
     EXPECT_EQ(g_allocs.load(), before) << "blocked sweep allocated in "
                                           "steady state";
-}
-
-// ------------------------------------------- distributed block solver
-
-template <typename P>
-par::DistConfig dist_config(int grid, int ranks, bool overlap,
-                            simd::Mode mode, int block = 0,
-                            int lb_interval = 0) {
-    par::DistConfig cfg;
-    cfg.nx = cfg.ny = grid;
-    cfg.ranks = ranks;
-    cfg.overlap = overlap;
-    cfg.simd = mode;
-    cfg.block = block;
-    cfg.lb_interval = lb_interval;
-    return cfg;
-}
-
-template <typename P>
-std::vector<double> block_height_after(int grid, int steps, int ranks,
-                                       bool overlap, simd::Mode mode,
-                                       int block = 0, int lb_interval = 0) {
-    par::BlockDistributedShallowSolver<P> s(
-        dist_config<P>(grid, ranks, overlap, mode, block, lb_interval));
-    s.initialize_dam_break();
-    s.run(steps);
-    EXPECT_TRUE(s.comm_drained());
-    return s.gather_height();
-}
-
-// Decomposition-invariance matrix for the blocked solver, referenced
-// against the row-stripe solver's 1-rank BSP scalar run: the height field
-// must repeat to the last bit across rank counts, schedules, SIMD shapes,
-// and block edges — including against the entirely different row
-// decomposition, since every cell update reads only exact neighbor
-// values and the wavespeed max is order-free.
-template <typename P>
-void block_invariance_matrix() {
-    const int grid = 24, steps = 12;
-    par::DistributedShallowSolver<P> rows(
-        dist_config<P>(grid, 1, false, simd::Mode::Scalar));
-    rows.initialize_dam_break();
-    rows.run(steps);
-    const auto ref = rows.gather_height();
-    for (const int ranks : {1, 3, 9})
-        for (const bool overlap : {false, true})
-            for (const auto mode : {simd::Mode::Scalar, simd::Mode::Native})
-                for (const int edge : {4, 8})
-                    EXPECT_EQ(block_height_after<P>(grid, steps, ranks,
-                                                    overlap, mode, edge),
-                              ref)
-                        << ranks << " ranks, overlap=" << overlap
-                        << ", native=" << (mode == simd::Mode::Native)
-                        << ", block edge " << edge;
-}
-
-TEST(BlockDistInvariance, MinimumPrecision) {
-    block_invariance_matrix<fp::MinimumPrecision>();
-}
-TEST(BlockDistInvariance, MixedPrecision) {
-    block_invariance_matrix<fp::MixedPrecision>();
-}
-TEST(BlockDistInvariance, FullPrecision) {
-    block_invariance_matrix<fp::FullPrecision>();
-}
-
-// auto_block_edge picks the largest divisor that still gives every rank
-// a block; cfg.block = 0 routes through it.
-TEST(BlockDist, AutoBlockEdge) {
-    EXPECT_EQ(par::auto_block_edge(48, 48, 3), 24);   // 4 blocks >= 3
-    EXPECT_EQ(par::auto_block_edge(48, 48, 5), 16);   // 9 blocks >= 5
-    EXPECT_EQ(par::auto_block_edge(64, 64, 4), 32);   // max_edge cap
-    EXPECT_EQ(par::auto_block_edge(6, 6, 9), 2);      // 9 blocks exactly
-    EXPECT_THROW((void)par::auto_block_edge(2, 2, 5), std::invalid_argument);
-    EXPECT_EQ(block_height_after<fp::MixedPrecision>(24, 8, 3, true,
-                                                     simd::Mode::Native, 0),
-              block_height_after<fp::MixedPrecision>(24, 8, 3, true,
-                                                     simd::Mode::Native, 8));
-}
-
-// ------------------------------------------------- per-phase halo bytes
-
-// The ledger reports halo traffic per phase: "dist_halo_post" carries
-// the posted payloads, "dist_halo_wait" any stragglers, and their sum
-// must equal halo_bytes_sent() exactly — in both solvers and both
-// schedules — with the overlap/BSP totals agreeing (same traffic, only
-// the wait point moves).
-template <typename Solver>
-std::uint64_t ledger_halo_bytes(const Solver& s) {
-    const auto* post = s.ledger().find("dist_halo_post");
-    const auto* wait = s.ledger().find("dist_halo_wait");
-    EXPECT_NE(post, nullptr);
-    EXPECT_NE(wait, nullptr);
-    std::uint64_t total = 0;
-    if (post) total += post->bytes;
-    if (wait) total += wait->bytes;
-    return total;
-}
-
-TEST(HaloLedger, PerPhaseBytesSumToTotalAndMatchBsp) {
-    std::uint64_t totals[2][2] = {};
-    for (const bool blocks : {false, true}) {
-        for (const bool overlap : {false, true}) {
-            const auto cfg = dist_config<fp::MixedPrecision>(
-                24, 3, overlap, simd::Mode::Native);
-            std::uint64_t sent = 0, ledgered = 0;
-            if (blocks) {
-                par::BlockDistributedShallowSolver<fp::MixedPrecision> s(
-                    cfg);
-                s.initialize_dam_break();
-                s.run(10);
-                sent = s.halo_bytes_sent();
-                ledgered = ledger_halo_bytes(s);
-            } else {
-                par::DistributedShallowSolver<fp::MixedPrecision> s(cfg);
-                s.initialize_dam_break();
-                s.run(10);
-                sent = s.halo_bytes_sent();
-                ledgered = ledger_halo_bytes(s);
-            }
-            EXPECT_GT(sent, 0u);
-            EXPECT_EQ(ledgered, sent)
-                << (blocks ? "blocks" : "rows") << ", overlap=" << overlap;
-            totals[blocks][overlap] = sent;
-        }
-        // Overlap only moves the wait point; the traffic is identical.
-        EXPECT_EQ(totals[blocks][0], totals[blocks][1]);
-    }
-}
-
-// In the overlapped schedule every face payload is posted before the
-// wait, so the post phase must carry all of the traffic.
-TEST(HaloLedger, OverlapPostsAllBytesBeforeTheWait) {
-    par::DistributedShallowSolver<fp::FullPrecision> s(
-        dist_config<fp::FullPrecision>(24, 3, true, simd::Mode::Native));
-    s.initialize_dam_break();
-    s.run(5);
-    const auto* post = s.ledger().find("dist_halo_post");
-    const auto* wait = s.ledger().find("dist_halo_wait");
-    ASSERT_NE(post, nullptr);
-    ASSERT_NE(wait, nullptr);
-    EXPECT_EQ(post->bytes, s.halo_bytes_sent());
-    EXPECT_EQ(wait->bytes, 0u);
-}
-
-// The per-source-rank byte counters (the {"type":"dist"} record's
-// halo_bytes array) partition the total exactly, and tracing the block
-// solver perturbs nothing: the traced height field matches the untraced
-// one bit for bit.
-TEST(HaloLedger, PerRankBytesPartitionTotalAndTracingIsInvisible) {
-    ASSERT_FALSE(obs::trace_enabled());
-    const auto ref = block_height_after<fp::MixedPrecision>(
-        24, 12, 3, true, simd::Mode::Native, 4, /*lb_interval=*/4);
-    obs::trace_start(::testing::TempDir() + "blocks.trace.json");
-    par::BlockDistributedShallowSolver<fp::MixedPrecision> s(
-        dist_config<fp::MixedPrecision>(24, 3, true, simd::Mode::Native, 4,
-                                        /*lb_interval=*/4));
-    s.initialize_dam_break();
-    s.run(12);
-    EXPECT_GT(obs::trace_stop(), 0u);
-    EXPECT_TRUE(s.comm_drained());
-    EXPECT_EQ(s.gather_height(), ref);
-    std::uint64_t per_rank_total = 0;
-    for (int r = 0; r < 3; ++r) per_rank_total += s.halo_bytes_sent(r);
-    EXPECT_GT(per_rank_total, 0u);
-    EXPECT_EQ(per_rank_total, s.halo_bytes_sent());
-}
-
-// --------------------------------------------------- block load balance
-
-// A skewed re-split moves whole blocks between ranks with zero state
-// copies — the solution must match an undisturbed run bit-for-bit.
-TEST(BlockLoadBalance, SkewedResplitCarriesStateExactly) {
-    const int grid = 24, edge = 4;  // 36 blocks on 3 ranks
-    auto cfg = dist_config<fp::FullPrecision>(grid, 3, true,
-                                              simd::Mode::Native, edge);
-    par::BlockDistributedShallowSolver<fp::FullPrecision> undisturbed(cfg);
-    undisturbed.initialize_dam_break();
-    undisturbed.run(10);
-
-    par::BlockDistributedShallowSolver<fp::FullPrecision> resplit(cfg);
-    resplit.initialize_dam_break();
-    resplit.run(4);
-    std::vector<double> skew(resplit.num_blocks(), 1.0);
-    for (std::size_t b = 0; b < skew.size() / 3; ++b) skew[b] = 9.0;
-    resplit.rebalance(skew);
-    EXPECT_GE(resplit.lb_stats().resplits, 1u);
-    EXPECT_GT(resplit.lb_stats().blocks_moved, 0u);
-    resplit.run(6);
-
-    EXPECT_EQ(resplit.gather_height(), undisturbed.gather_height());
-    EXPECT_TRUE(resplit.comm_drained());
-}
-
-// Periodic measured-cost rebalancing is bitwise invisible too.
-TEST(BlockLoadBalance, PeriodicLoadBalancingDoesNotChangeState) {
-    const auto ref = block_height_after<fp::MixedPrecision>(
-        24, 12, 3, true, simd::Mode::Native, 4, /*lb_interval=*/0);
-    EXPECT_EQ(block_height_after<fp::MixedPrecision>(24, 12, 3, true,
-                                                     simd::Mode::Native, 4,
-                                                     /*lb_interval=*/4),
-              ref);
-}
-
-// Uniform cost reproduces the static partition — no churn at balance.
-TEST(BlockLoadBalance, UniformCostIsANoOp) {
-    par::BlockDistributedShallowSolver<fp::FullPrecision> s(
-        dist_config<fp::FullPrecision>(24, 4, true, simd::Mode::Native, 4));
-    s.initialize_dam_break();
-    const auto before = s.block_partition();
-    const std::vector<double> uniform(s.num_blocks(), 1.0);
-    s.rebalance(uniform);
-    EXPECT_EQ(s.block_partition(), before);
-    EXPECT_EQ(s.lb_stats().evaluations, 1u);
-    EXPECT_EQ(s.lb_stats().resplits, 0u);
-}
-
-// Steady-state step() and total_mass() of the block solver allocate
-// nothing, in either schedule — and because ownership is a pure range
-// boundary, even a re-split that moves blocks stays allocation-free.
-TEST(BlockDistAllocations, SteadyStateAndResplitAreAllocationFree) {
-    for (const bool overlap : {false, true}) {
-        par::BlockDistributedShallowSolver<fp::MixedPrecision> s(
-            dist_config<fp::MixedPrecision>(24, 3, overlap,
-                                            simd::Mode::Native, 4));
-        s.initialize_dam_break();
-        s.run(3);  // warm the comm pool and every lazy scratch buffer
-        (void)s.total_mass();
-        std::vector<double> skew(s.num_blocks(), 1.0);
-        for (std::size_t b = 0; b < skew.size() / 2; ++b) skew[b] = 5.0;
-        const std::uint64_t before = g_allocs.load();
-        s.run(5);
-        (void)s.total_mass();
-        s.rebalance(skew);
-        EXPECT_EQ(g_allocs.load(), before)
-            << (overlap ? "overlap" : "BSP") << " schedule allocated in "
-            << "steady state";
-        EXPECT_TRUE(s.comm_drained());
-    }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // checked with a global operator-new counter (the same pattern as
 // test_obs.cpp's zero-cost-when-off test, and the two counters cannot
 // share one process), plus the decomposition-invariance matrix, the
-// communicator drain/deadlock contracts, and the load balancer's exact
-// state carryover.
+// communicator drain/deadlock contracts, the load balancer's exact
+// state carryover, and the halo byte accounting (per phase, per rank,
+// and per traced message edge).
 
 #include <gtest/gtest.h>
 
@@ -180,6 +181,45 @@ TEST(DistLoadBalance, UniformCostIsANoOp) {
     EXPECT_EQ(s.row_partition(), before);
     EXPECT_EQ(s.lb_stats().evaluations, 1u);
     EXPECT_EQ(s.lb_stats().resplits, 0u);
+}
+
+// ------------------------------------------------- per-phase halo bytes
+
+// The ledger reports halo traffic per phase: "dist_halo_post" carries
+// the posted payloads, "dist_halo_wait" any stragglers, and their sum
+// must equal halo_bytes_sent() exactly in both schedules — with the
+// overlap/BSP totals agreeing (same traffic, only the wait point moves).
+TEST(HaloLedger, PerPhaseBytesSumToTotalAndMatchBsp) {
+    std::uint64_t totals[2] = {};
+    for (const bool overlap : {false, true}) {
+        auto s = make_solver<fp::MixedPrecision>(24, 3, overlap,
+                                                 simd::Mode::Native);
+        s.initialize_dam_break();
+        s.run(10);
+        const auto* post = s.ledger().find("dist_halo_post");
+        const auto* wait = s.ledger().find("dist_halo_wait");
+        ASSERT_NE(post, nullptr);
+        ASSERT_NE(wait, nullptr);
+        const std::uint64_t sent = s.halo_bytes_sent();
+        EXPECT_GT(sent, 0u);
+        EXPECT_EQ(post->bytes + wait->bytes, sent) << "overlap=" << overlap;
+        totals[overlap] = sent;
+    }
+    EXPECT_EQ(totals[0], totals[1]);
+}
+
+// In the overlapped schedule every face payload is posted before the
+// wait, so the post phase must carry all of the traffic.
+TEST(HaloLedger, OverlapPostsAllBytesBeforeTheWait) {
+    auto s = make_solver<fp::FullPrecision>(24, 3, true, simd::Mode::Native);
+    s.initialize_dam_break();
+    s.run(5);
+    const auto* post = s.ledger().find("dist_halo_post");
+    const auto* wait = s.ledger().find("dist_halo_wait");
+    ASSERT_NE(post, nullptr);
+    ASSERT_NE(wait, nullptr);
+    EXPECT_EQ(post->bytes, s.halo_bytes_sent());
+    EXPECT_EQ(wait->bytes, 0u);
 }
 
 // ---------------------------------------------- cross-rank message edges

@@ -10,19 +10,16 @@
 // fixed-shape reductions), so the digests hold on any x86-64 host, at
 // any thread count.
 //
-// After an intentional change to the numerics, regenerate the files with
-//   TP_GOLDEN_UPDATE=1 ./build/tests/test_golden
-// and say why in the commit.
+// A mismatch prints the file's text and the recomputed text with a line
+// diff. After an intentional change to the numerics, the recomputed text
+// becomes the file; say why in the commit.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fp/half_policy.hpp"
@@ -34,40 +31,20 @@ using namespace tp;
 
 namespace {
 
-using Digests = std::vector<std::pair<std::string, std::uint64_t>>;
+// Append one "key digest" line to a golden text.
+void add_digest(std::string& text, const std::string& key,
+                std::uint64_t digest) {
+    text += key + ' ' + util::digest_hex(digest) + '\n';
+}
 
-// Compare `computed` with the golden file `name` ("key digest" lines,
-// '#' comments), or rewrite the file when TP_GOLDEN_UPDATE is set.
-void check_golden(const std::string& name, const std::string& header,
-                  const Digests& computed) {
+// The golden file `name` must hold exactly `expected`.
+void expect_golden(const std::string& name, const std::string& expected) {
     const std::string path = std::string(TP_GOLDEN_DIR) + "/" + name;
-    if (std::getenv("TP_GOLDEN_UPDATE") != nullptr) {
-        std::ofstream os(path);
-        os << header;
-        for (const auto& [key, digest] : computed)
-            os << key << ' ' << util::digest_hex(digest) << '\n';
-        ASSERT_TRUE(os.good()) << "cannot write " << path;
-        GTEST_SKIP() << "rewrote " << path;
-    }
-    std::ifstream is(path);
+    std::ifstream is(path, std::ios::binary);
     ASSERT_TRUE(is.good()) << "cannot read " << path;
-    std::map<std::string, std::string> golden;
-    for (std::string line; std::getline(is, line);) {
-        if (line.empty() || line[0] == '#') continue;
-        const auto cut = line.rfind(' ');
-        ASSERT_NE(cut, std::string::npos) << path << ": bad line '" << line
-                                          << "'";
-        golden[line.substr(0, cut)] = line.substr(cut + 1);
-    }
-    EXPECT_EQ(golden.size(), computed.size()) << path;
-    for (const auto& [key, digest] : computed) {
-        const auto it = golden.find(key);
-        if (it == golden.end()) {
-            ADD_FAILURE() << path << " has no digest for '" << key << "'";
-            continue;
-        }
-        EXPECT_EQ(util::digest_hex(digest), it->second) << key;
-    }
+    std::ostringstream golden;
+    golden << is.rdbuf();
+    EXPECT_EQ(golden.str(), expected) << path;
 }
 
 // ------------------------------------------------ shallow checkpoints
@@ -77,7 +54,7 @@ constexpr int kShallowSteps = 30;
 constexpr int kRezoneInterval = 2;
 
 template <typename P>
-void shallow_digests(Digests& out) {
+void shallow_digests(std::string& text) {
     for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native})
         for (const int levels : {0, 2, 4}) {
             shallow::Config cfg;
@@ -90,27 +67,26 @@ void shallow_digests(Digests& out) {
             s.run(kShallowSteps);
             std::ostringstream os(std::ios::binary);
             s.write_checkpoint(os);
-            out.emplace_back(std::string(P::name) + ' ' +
-                                 simd::to_string(mode) + " L" +
-                                 std::to_string(levels),
-                             util::fnv1a(os.view()));
+            add_digest(text,
+                       std::string(P::name) + ' ' + simd::to_string(mode) +
+                           " L" + std::to_string(levels),
+                       util::fnv1a(os.view()));
         }
 }
 
 TEST(Golden, ShallowCheckpointDigests) {
-    Digests d;
-    shallow_digests<fp::MinimumPrecision>(d);
-    shallow_digests<fp::MixedPrecision>(d);
-    shallow_digests<fp::FullPrecision>(d);
-    shallow_digests<fp::HalfStoragePrecision>(d);
-    check_golden("shallow_checkpoint.txt",
-                 "# FNV-1a of ShallowWaterSolver::write_checkpoint() after "
-                 "a dam break on a\n# " +
-                     std::to_string(kShallowGrid) + "^2 coarse grid, " +
-                     std::to_string(kShallowSteps) + " steps, rezone every " +
-                     std::to_string(kRezoneInterval) +
-                     " steps. Key: policy simd max_level.\n",
-                 d);
+    std::string text =
+        "# FNV-1a of ShallowWaterSolver::write_checkpoint() after a dam "
+        "break on a\n# " +
+        std::to_string(kShallowGrid) + "^2 coarse grid, " +
+        std::to_string(kShallowSteps) + " steps, rezone every " +
+        std::to_string(kRezoneInterval) +
+        " steps. Key: policy simd max_level.\n";
+    shallow_digests<fp::MinimumPrecision>(text);
+    shallow_digests<fp::MixedPrecision>(text);
+    shallow_digests<fp::FullPrecision>(text);
+    shallow_digests<fp::HalfStoragePrecision>(text);
+    expect_golden("shallow_checkpoint.txt", text);
 }
 
 // ------------------------------------------- distributed gather_height
@@ -119,7 +95,7 @@ constexpr int kDistGrid = 32;
 constexpr int kDistSteps = 20;
 
 template <typename P>
-void dist_digests(Digests& out) {
+void dist_digests(std::string& text) {
     for (const int ranks : {1, 3, 8})
         for (const bool overlap : {false, true}) {
             par::DistConfig cfg;
@@ -130,26 +106,25 @@ void dist_digests(Digests& out) {
             s.initialize_dam_break();
             s.run(kDistSteps);
             const std::vector<double> h = s.gather_height();
-            out.emplace_back(std::string(P::name) + " ranks=" +
-                                 std::to_string(ranks) +
-                                 (overlap ? " overlapped" : " bsp"),
-                             util::fnv1a_bytes(h.data(),
-                                               h.size() * sizeof(double)));
+            add_digest(text,
+                       std::string(P::name) + " ranks=" +
+                           std::to_string(ranks) +
+                           (overlap ? " overlapped" : " bsp"),
+                       util::fnv1a_bytes(h.data(), h.size() * sizeof(double)));
         }
 }
 
 TEST(Golden, DistGatherHeightDigests) {
-    Digests d;
-    dist_digests<fp::MinimumPrecision>(d);
-    dist_digests<fp::MixedPrecision>(d);
-    dist_digests<fp::FullPrecision>(d);
-    check_golden("dist_gather_height.txt",
-                 "# FNV-1a of DistributedShallowSolver::gather_height() "
-                 "(row-major doubles)\n# after a dam break on a " +
-                     std::to_string(kDistGrid) + "^2 grid, " +
-                     std::to_string(kDistSteps) +
-                     " steps. Key: policy ranks schedule.\n",
-                 d);
+    std::string text =
+        "# FNV-1a of DistributedShallowSolver::gather_height() (row-major "
+        "doubles)\n# after a dam break on a " +
+        std::to_string(kDistGrid) + "^2 grid, " +
+        std::to_string(kDistSteps) +
+        " steps. Key: policy ranks schedule.\n";
+    dist_digests<fp::MinimumPrecision>(text);
+    dist_digests<fp::MixedPrecision>(text);
+    dist_digests<fp::FullPrecision>(text);
+    expect_golden("dist_gather_height.txt", text);
 }
 
 }  // namespace

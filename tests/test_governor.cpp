@@ -245,12 +245,10 @@ namespace {
 
 template <typename P>
 std::string clamr_checkpoint(int grid, int levels, simd::Mode mode,
-                             shallow::RezoneMode rezone, int steps,
-                             fp::PrecisionGovernor* gov) {
+                             int steps, fp::PrecisionGovernor* gov) {
     shallow::Config cfg;
     cfg.geom = {0.0, 0.0, 100.0, 100.0, grid, grid, levels};
     cfg.simd = mode;
-    cfg.rezone_mode = rezone;
     shallow::ShallowWaterSolver<P> s(cfg);
     if (gov != nullptr) s.set_governor(gov);
     s.initialize_dam_break({});
@@ -266,28 +264,24 @@ std::string clamr_checkpoint(int grid, int levels, simd::Mode mode,
 template <typename P>
 void expect_off_governor_identical() {
     for (const simd::Mode mode : {simd::Mode::Native, simd::Mode::Scalar})
-        for (const shallow::RezoneMode rezone :
-             {shallow::RezoneMode::Incremental, shallow::RezoneMode::Full})
-            for (const int grid : {12, 16}) {
-                const int levels = grid == 12 ? 1 : 2;
-                const std::string plain = clamr_checkpoint<P>(
-                    grid, levels, mode, rezone, 8, nullptr);
-                fp::GovernorConfig off;  // enabled = false
-                fp::PrecisionGovernor gov(off);
-                const std::string governed = clamr_checkpoint<P>(
-                    grid, levels, mode, rezone, 8, &gov);
-                EXPECT_EQ(governed, plain)
-                    << "policy=" << P::name
-                    << " simd=" << simd::to_string(mode)
-                    << " rezone=" << shallow::rezone_mode_name(rezone)
-                    << " grid=" << grid;
-            }
+        for (const int grid : {12, 16}) {
+            const int levels = grid == 12 ? 1 : 2;
+            const std::string plain =
+                clamr_checkpoint<P>(grid, levels, mode, 8, nullptr);
+            fp::GovernorConfig off;  // enabled = false
+            fp::PrecisionGovernor gov(off);
+            const std::string governed =
+                clamr_checkpoint<P>(grid, levels, mode, 8, &gov);
+            EXPECT_EQ(governed, plain)
+                << "policy=" << P::name << " simd=" << simd::to_string(mode)
+                << " grid=" << grid;
+        }
 }
 
 }  // namespace
 
-// 24 configurations (3 policies x 2 simd x 2 rezone x 2 grids): attaching
-// a disabled governor must be bit-invisible — the --governor=off contract.
+// 12 configurations (3 policies x 2 simd x 2 grids): attaching a disabled
+// governor must be bit-invisible — the --governor=off contract.
 TEST(GovernorClamr, OffGovernorIsBitInvisibleAcrossConfigs) {
     expect_off_governor_identical<fp::MinimumPrecision>();
     expect_off_governor_identical<fp::MixedPrecision>();
@@ -298,16 +292,14 @@ TEST(GovernorClamr, OffGovernorIsBitInvisibleAcrossConfigs) {
 // float-compute policy on its native kernels; the monitor only reads.
 TEST(GovernorClamr, UncrossableBudgetIsBitInvisibleOnFloatCompute) {
     const std::string plain = clamr_checkpoint<fp::MinimumPrecision>(
-        16, 2, simd::Mode::Native, shallow::RezoneMode::Incremental, 8,
-        nullptr);
+        16, 2, simd::Mode::Native, 8, nullptr);
     fp::GovernorConfig cfg;
     cfg.enabled = true;
     cfg.drift_budget_ulp = ~std::uint64_t{0};
     cfg.tail_budget_frac = 2.0;
     fp::PrecisionGovernor gov(cfg);
     const std::string governed = clamr_checkpoint<fp::MinimumPrecision>(
-        16, 2, simd::Mode::Native, shallow::RezoneMode::Incremental, 8,
-        &gov);
+        16, 2, simd::Mode::Native, 8, &gov);
     EXPECT_EQ(governed, plain);
     EXPECT_TRUE(gov.decisions().empty());
     EXPECT_EQ(gov.observed_steps(0), 8u);
@@ -328,9 +320,8 @@ TEST(GovernorClamr, ZeroBudgetDrivesPromoteThenDemote) {
     cfg.warmup = 1;
     cfg.hysteresis = 3;
     fp::PrecisionGovernor gov(cfg);
-    clamr_checkpoint<fp::MixedPrecision>(16, 2, simd::Mode::Native,
-                                         shallow::RezoneMode::Incremental,
-                                         12, &gov);
+    clamr_checkpoint<fp::MixedPrecision>(16, 2, simd::Mode::Native, 12,
+                                         &gov);
     std::size_t promotes = 0;
     std::size_t demotes = 0;
     for (const auto& d : gov.decisions())

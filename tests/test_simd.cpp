@@ -160,14 +160,11 @@ TEST(ScratchArena, AlignmentAndScopeRewind) {
 namespace {
 
 template <typename P>
-std::string clamr_bits(tsi::Mode mode, int levels, int rezone_interval = 4,
-                       tp::shallow::RezoneMode rezone =
-                           tp::shallow::RezoneMode::Incremental) {
+std::string clamr_bits(tsi::Mode mode, int levels, int rezone_interval = 4) {
     tp::shallow::Config cfg;
     cfg.geom = {0.0, 0.0, 100.0, 100.0, 24, 24, levels};
     cfg.simd = mode;
     cfg.rezone_interval = rezone_interval;
-    cfg.rezone_mode = rezone;
     tp::shallow::ShallowWaterSolver<P> s(cfg);
     s.initialize_dam_break({});
     s.run(25);
@@ -214,16 +211,12 @@ TEST(SimdEquivalence, ClamrAllPoliciesBitIdentical) {
 }
 
 // Rezone-heavy deep-refinement workload (max_level 4, adapt every other
-// step): the incremental rezone pipeline must keep scalar/native and
-// incremental/full all on the same bits for every policy.
+// step): the incremental rezone pipeline must keep scalar and native on
+// the same bits for every policy.
 TEST(SimdEquivalence, ClamrRezoneHeavyBitIdentical) {
     auto check = [&]<typename P>() {
-        const std::string ref = clamr_bits<P>(tsi::Mode::Scalar, 4, 2);
-        EXPECT_EQ(ref, clamr_bits<P>(tsi::Mode::Native, 4, 2));
-        EXPECT_EQ(ref, clamr_bits<P>(tsi::Mode::Scalar, 4, 2,
-                                     tp::shallow::RezoneMode::Full));
-        EXPECT_EQ(ref, clamr_bits<P>(tsi::Mode::Native, 4, 2,
-                                     tp::shallow::RezoneMode::Full));
+        EXPECT_EQ(clamr_bits<P>(tsi::Mode::Scalar, 4, 2),
+                  clamr_bits<P>(tsi::Mode::Native, 4, 2));
     };
     check.template operator()<tp::fp::MinimumPrecision>();
     check.template operator()<tp::fp::MixedPrecision>();
