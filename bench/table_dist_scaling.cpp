@@ -28,6 +28,7 @@
 #include "par/dist_shallow.hpp"
 #include "util/cli.hpp"
 #include "util/threads.hpp"
+#include "util/timing.hpp"
 
 using namespace tp;
 
@@ -50,9 +51,10 @@ PhaseRun run_phases(int grid, int steps, int ranks, bool overlap,
     cfg.simd = mode;
     par::DistributedShallowSolver<P> s(cfg);
     s.initialize_dam_break();
+    util::WallTimer t;
     s.run(steps);
     PhaseRun r;
-    r.step_seconds = s.timers().total("step");
+    r.step_seconds = t.elapsed_seconds();
     r.pack = s.timers().total("halo_pack");
     r.pre = s.timers().total("precompute");
     r.wait = s.timers().total("halo_wait");

@@ -29,7 +29,6 @@
 #include "io/checkpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/timing.hpp"
 
 namespace tp::io {
 
@@ -47,22 +46,18 @@ public:
         Slot& slot = slots_[next_];
         next_ = 1 - next_;
         if (slot.busy) {
-            util::WallTimer stall;
+            obs::Phase stall("io.ckpt_stall", obs::kHostTrack);
             writer_.wait(slot.ticket);
-            stall_seconds_ += stall.elapsed_seconds();
+            stall_seconds_ += stall.stop();
             slot.busy = false;
         }
-        util::WallTimer snap_timer;
-        {
-            TP_OBS_SPAN("io.ckpt_snapshot");
-            solver.snapshot_checkpoint(slot.snap);
-        }
-        const double snapshot_s = snap_timer.elapsed_seconds();
+        obs::Phase snap("io.ckpt_snapshot", obs::kHostTrack);
+        solver.snapshot_checkpoint(slot.snap);
+        const double snapshot_s = snap.stop();
         const double stall_s = stall_seconds_;
         slot.ticket = writer_.submit([&slot, path = std::move(path),
                                       opt = opt_, snapshot_s, stall_s] {
-            TP_OBS_SPAN("io.ckpt_write");
-            util::WallTimer write_timer;
+            obs::Phase write("io.ckpt_write", obs::kHostTrack);
             std::ofstream os(path, std::ios::binary);
             if (!os)
                 throw std::runtime_error("checkpoint: cannot open " + path);
@@ -73,8 +68,8 @@ public:
                 throw std::runtime_error("checkpoint: write failed");
             if (obs::metrics().is_open())
                 obs::metrics().write_line(checkpoint_record(
-                    path, slot.snap.step, info, snapshot_s,
-                    write_timer.elapsed_seconds(), stall_s, true));
+                    path, slot.snap.step, info, snapshot_s, write.stop(),
+                    stall_s, true));
         });
         slot.busy = true;
     }

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/trace.hpp"
-#include "util/timing.hpp"
 
 namespace tp::io {
 
@@ -73,15 +72,14 @@ void AsyncWriter::worker_loop() {
             job = std::move(queue_.front());
             queue_.pop_front();
         }
-        util::WallTimer timer;
+        obs::Phase phase("io.async_job", obs::kHostTrack);
         std::exception_ptr err;
         try {
-            TP_OBS_SPAN("io.async_job");
             job();
         } catch (...) {
             err = std::current_exception();
         }
-        const double seconds = timer.elapsed_seconds();
+        const double seconds = phase.stop();
         {
             std::unique_lock<std::mutex> lock(mu_);
             busy_seconds_ += seconds;

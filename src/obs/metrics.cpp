@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "util/threads.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -130,7 +131,10 @@ std::string timer_delta_json(const util::StopwatchRegistry& timers,
     json::Object phases;
     for (const auto& [name, entry] : timers.entries()) {
         double& prev = previous[name];
-        phases.field(name, entry.total_seconds - prev);
+        const char* parent = phase_parent(name);
+        const std::string prefix = parent ? std::string(parent) + '_' : "";
+        phases.field(name.starts_with(prefix) ? name : prefix + name,
+                     entry.total_seconds - prev);
         prev = entry.total_seconds;
     }
     return std::move(phases).str();

@@ -54,7 +54,10 @@ void write_manifest(const std::string& program,
 /// Helper for per-step phase timings: returns the delta of every
 /// stopwatch total since `previous` (and updates `previous`), as a JSON
 /// object mapping phase name to seconds. Registries only ever grow, so
-/// the delta covers every phase that ran this step.
+/// the delta covers every phase that ran this step. A key whose Phase
+/// declared a parent is written as `<parent>_<key>` unless it already
+/// carries that prefix (flux_sweep -> finite_diff_flux_sweep), so the
+/// rollup nests every sub-phase under its parent.
 [[nodiscard]] std::string timer_delta_json(
     const util::StopwatchRegistry& timers,
     std::map<std::string, double>& previous);

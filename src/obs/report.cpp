@@ -43,7 +43,8 @@ void digest_step(const json::Value& rec, RunSummary& out) {
     if (const json::Value* f = rec.find("flops");
         f != nullptr && f->is_number())
         out.flops = static_cast<std::uint64_t>(f->as_number());
-    out.rezones += static_cast<std::int64_t>(rec.number_or("rezones", 0.0));
+    out.rezones = static_cast<std::int64_t>(
+        rec.number_or("rezones", static_cast<double>(out.rezones)));
     if (const json::Value* phases = rec.find("phase_seconds");
         phases != nullptr && phases->is_object())
         for (const auto& [name, seconds] : phases->members())

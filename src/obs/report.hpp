@@ -87,10 +87,12 @@ struct RunSummary {
     std::int64_t wall_s_steps = 0;  ///< steps that carried "wall_s"
     double final_time = 0.0;
     std::uint64_t flops = 0;  ///< last cumulative "flops" value
-    std::int64_t rezones = 0;  ///< sum of per-step "rezones"
+    std::int64_t rezones = 0;  ///< last cumulative "rezones" value
     /// Per-phase wall seconds, summed from the per-step "phase_seconds"
     /// deltas. Includes sub-phases (names with a '_' after a parent
-    /// prefix, e.g. rezone_remap under rezone).
+    /// prefix, e.g. rezone_remap under rezone, finite_diff_flux_sweep
+    /// under finite_diff — the emitter writes each sub-phase under its
+    /// declared parent's prefix, see obs::timer_delta_json).
     std::map<std::string, double> phase_seconds;
     /// key = "kernel/array" (e.g. "clamr.flux_sweep/dh").
     std::map<std::string, NumericsEntry> numerics;

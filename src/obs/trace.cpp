@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -134,7 +136,8 @@ std::int64_t trace_now_ns() {
         .count();
 }
 
-void trace_append(const char* name, std::int64_t begin_ns,
+void trace_append(const char* name,
+                  std::chrono::steady_clock::time_point begin,
                   std::int64_t dur_ns, std::int32_t rank) {
     // Re-check under the race with trace_stop(): a span that straddles the
     // stop sees enabled == false here and is simply dropped.
@@ -144,6 +147,10 @@ void trace_append(const char* name, std::int64_t begin_ns,
         ++buf.dropped;
         return;
     }
+    const std::int64_t begin_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            begin - session().epoch)
+            .count();
     buf.events.push_back({name, begin_ns, dur_ns, rank});
 }
 
@@ -157,7 +164,35 @@ void trace_append_edge(const EdgeEvent& edge) {
     buf.edges.push_back(edge);
 }
 
+namespace {
+
+// Parent per stopwatch key. Keys and parents are string literals, so the
+// map holds views and a repeated declaration allocates nothing.
+struct Parents {
+    std::mutex mutex;
+    std::map<std::string_view, const char*> by_key;
+};
+
+Parents& parents() {
+    static Parents p;
+    return p;
+}
+
+}  // namespace
+
+void declare_parent(const char* key, const char* parent) {
+    std::lock_guard<std::mutex> lock(parents().mutex);
+    parents().by_key.try_emplace(key, parent);
+}
+
 }  // namespace detail
+
+const char* phase_parent(const std::string& key) {
+    detail::Parents& p = detail::parents();
+    std::lock_guard<std::mutex> lock(p.mutex);
+    const auto it = p.by_key.find(key);
+    return it == p.by_key.end() ? nullptr : it->second;
+}
 
 void trace_start(const std::string& path) {
     auto& s = detail::session();

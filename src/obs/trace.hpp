@@ -1,11 +1,13 @@
 #pragma once
 // Flight-recorder trace layer: kernel/phase begin-end spans collected into
 // lock-free per-thread buffers and flushed as Chrome-trace JSON
-// (chrome://tracing / https://ui.perfetto.dev).
+// (chrome://tracing / https://ui.perfetto.dev), and obs::Phase, the one
+// clock each solver phase is timed with.
 //
 // Design constraints (DESIGN.md §10, §15):
-//   * zero cost when off — an instrumentation point is one relaxed atomic
-//     load; no clock read, no allocation, no branch into cold code;
+//   * zero cost when off — a span-only instrumentation point is one
+//     relaxed atomic load; no clock read, no allocation, no branch into
+//     cold code;
 //   * no synchronization on the hot path when on — each thread appends to
 //     its own buffer, registered once under a mutex at first use;
 //   * span names are static strings (string literals at the call sites),
@@ -15,10 +17,10 @@
 //     limit (trace_dropped_events() reports the loss).
 //
 // Two kinds of record:
-//   * spans — [begin, begin+dur) scopes. A span may carry a rank id
-//     (TP_OBS_SPAN_RANK); rank-tagged spans render on a per-rank track
-//     (pid 2, tid = rank) so Perfetto shows one merged timeline per
-//     virtual rank next to the host-thread tracks (pid 1).
+//   * spans — [begin, begin+dur) scopes. A span may carry a rank id;
+//     rank-tagged spans render on a per-rank track (pid 2, tid = rank) so
+//     Perfetto shows one merged timeline per virtual rank next to the
+//     host-thread tracks (pid 1).
 //   * message edges — one halo message each (src/dst rank, tag, bytes,
 //     post/deliver timestamps), flushed as a Chrome-trace flow-event pair
 //     (ph "s" on the source rank track at post time, ph "f" on the
@@ -28,9 +30,10 @@
 // Usage at an instrumentation point:
 //
 //   void Solver::step() {
-//       TP_OBS_SPAN("clamr.step");            // host-thread track
+//       TP_OBS_SPAN("clamr.step");                      // span only
+//       obs::Phase phase("clamr.cfl", timers_, "cfl");  // + stopwatch
 //       ...
-//       TP_OBS_SPAN_RANK("dist.rank.interior", r);  // rank track
+//       ledger_.record("cfl", phase.stop(), ...);       // same seconds
 //   }
 //
 // Lifecycle (driven by the CLI layer, obs/obs.hpp):
@@ -47,6 +50,8 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+
+#include "util/timing.hpp"
 
 namespace tp::obs {
 
@@ -71,15 +76,25 @@ struct EdgeEvent {
     std::int64_t deliver_ns;  // when the receiver completed it
 };
 
-/// Append one completed span to the calling thread's buffer.
-void trace_append(const char* name, std::int64_t begin_ns,
-                  std::int64_t dur_ns, std::int32_t rank = -1);
+/// Append one completed span, begun at `begin`, to the calling thread's
+/// buffer.
+void trace_append(const char* name,
+                  std::chrono::steady_clock::time_point begin,
+                  std::int64_t dur_ns, std::int32_t rank);
 
 /// Append one delivered message edge to the calling thread's buffer.
 void trace_append_edge(const EdgeEvent& edge);
 
 [[nodiscard]] std::int64_t trace_now_ns();
+
+/// Record that stopwatch key `key` times a sub-phase of `parent` (both
+/// string literals). Idempotent; called by Phase.
+void declare_parent(const char* key, const char* parent);
 }  // namespace detail
+
+/// The parent phase declared for stopwatch key `key` by a Phase, or
+/// nullptr when none was.
+[[nodiscard]] const char* phase_parent(const std::string& key);
 
 /// True while a trace session is collecting. One relaxed load — this is
 /// the entire cost of an instrumentation point when tracing is off.
@@ -124,44 +139,85 @@ inline void trace_edge(std::int32_t src, std::int32_t dst, std::int32_t tag,
     detail::trace_append_edge({src, dst, tag, bytes, post_ns, deliver_ns});
 }
 
-/// RAII span: records [construction, destruction) of the enclosing scope
-/// under `name` (a string literal). When tracing is off the constructor
-/// is a single relaxed load and the destructor a null check. The
-/// two-argument form files the span on the virtual-rank track `rank`.
-class ScopedSpan {
+/// Track id of a timed phase that stays on its host thread's track.
+inline constexpr int kHostTrack = -1;
+
+/// RAII phase timer (DESIGN.md §10): a timed phase reads steady_clock at
+/// construction and at stop(), and that one duration is the trace span
+/// (when tracing is on), the stopwatch entry (when the phase has a key)
+/// and stop()'s return value, which callers pass to the work ledger or a
+/// per-rank sum. The destructor stops a running phase. `span`, `key` and
+/// `parent` must be string literals (the recorder stores the pointers).
+class Phase {
 public:
-    explicit ScopedSpan(const char* name)
-        : name_(trace_enabled() ? name : nullptr) {
-        if (name_) begin_ns_ = detail::trace_now_ns();
+    /// Span-only phase (TP_OBS_SPAN): with tracing off it reads no clock
+    /// and stop() returns 0.
+    explicit Phase(const char* span)
+        : span_(trace_enabled() ? span : nullptr),
+          running_(span_ != nullptr) {
+        if (running_) start_ = clock::now();
     }
-    ScopedSpan(const char* name, int rank)
-        : name_(trace_enabled() ? name : nullptr),
-          rank_(static_cast<std::int32_t>(rank)) {
-        if (name_) begin_ns_ = detail::trace_now_ns();
+
+    /// Timed phase without a stopwatch entry (per-rank sums on OpenMP
+    /// workers, I/O counters), filed on virtual-rank track `rank` or, for
+    /// kHostTrack, on the thread's own.
+    Phase(const char* span, int rank)
+        : span_(trace_enabled() ? span : nullptr),
+          rank_(static_cast<std::int32_t>(rank)),
+          running_(true),
+          start_(clock::now()) {}
+
+    /// Timed phase that adds its duration to `timers` under `key`; only
+    /// the registry's owning thread may run it. `parent` is the key of
+    /// the enclosing phase: per-step records write `key` as
+    /// `<parent>_<key>` unless it has that prefix (timer_delta_json), so
+    /// the tp_report rollup nests it under the parent.
+    Phase(const char* span, util::StopwatchRegistry& timers, const char* key,
+          const char* parent = nullptr)
+        : span_(trace_enabled() ? span : nullptr),
+          timers_(&timers),
+          key_(key),
+          running_(true) {
+        if (parent != nullptr) detail::declare_parent(key, parent);
+        start_ = clock::now();
     }
-    ~ScopedSpan() {
-        if (name_)
-            detail::trace_append(name_, begin_ns_,
-                                 detail::trace_now_ns() - begin_ns_, rank_);
+
+    ~Phase() { stop(); }
+    Phase(const Phase&) = delete;
+    Phase& operator=(const Phase&) = delete;
+
+    /// End the phase and return its seconds (0 if it was not timed or is
+    /// already stopped).
+    double stop() {
+        if (!running_) return 0.0;
+        running_ = false;
+        const std::int64_t ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                clock::now() - start_)
+                .count();
+        if (span_ != nullptr) detail::trace_append(span_, start_, ns, rank_);
+        const double seconds = static_cast<double>(ns) / 1e9;
+        if (timers_ != nullptr) timers_->add(key_, seconds);
+        return seconds;
     }
-    ScopedSpan(const ScopedSpan&) = delete;
-    ScopedSpan& operator=(const ScopedSpan&) = delete;
 
 private:
-    const char* name_;
-    std::int64_t begin_ns_ = 0;
-    std::int32_t rank_ = -1;
+    using clock = std::chrono::steady_clock;
+
+    const char* span_;  // nullptr: tracing was off at construction
+    util::StopwatchRegistry* timers_ = nullptr;
+    const char* key_ = nullptr;
+    std::int32_t rank_ = kHostTrack;
+    bool running_;
+    clock::time_point start_{};
 };
 
 }  // namespace tp::obs
 
 #define TP_OBS_CONCAT_IMPL(a, b) a##b
 #define TP_OBS_CONCAT(a, b) TP_OBS_CONCAT_IMPL(a, b)
-/// Trace the enclosing scope as one span. `name` must be a string literal
-/// (the recorder stores the pointer). Zero-cost when tracing is off.
+/// Trace the enclosing scope as one span-only Phase. `name` must be a
+/// string literal (the recorder stores the pointer). Zero-cost when
+/// tracing is off.
 #define TP_OBS_SPAN(name) \
-    ::tp::obs::ScopedSpan TP_OBS_CONCAT(tp_obs_span_, __LINE__)(name)
-/// Same, but files the span on virtual-rank track `rank` so per-rank
-/// timelines merge side by side in the trace viewer.
-#define TP_OBS_SPAN_RANK(name, rank) \
-    ::tp::obs::ScopedSpan TP_OBS_CONCAT(tp_obs_span_, __LINE__)(name, rank)
+    ::tp::obs::Phase TP_OBS_CONCAT(tp_obs_span_, __LINE__)(name)

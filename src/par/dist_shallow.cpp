@@ -209,8 +209,7 @@ void DistributedShallowSolver<Policy>::post_halos() {
     for (int r = 0; r < cfg_.ranks; ++r) {
         Rank& rk = ranks_[static_cast<std::size_t>(r)];
         rk.wavespeed = compute_t(0);
-        TP_OBS_SPAN_RANK("dist.rank.post", r);
-        util::WallTimer t;
+        obs::Phase phase("dist.rank.post", r);
         if (cfg_.overlap) {
             if (r > 0)
                 comm_.post_bytes(r, r - 1, kTagDown, pack_row(rk, 1));
@@ -222,8 +221,7 @@ void DistributedShallowSolver<Policy>::post_halos() {
             if (r + 1 < cfg_.ranks)
                 comm_.send_bytes(r, r + 1, kTagUp, pack_row(rk, rk.rows));
         }
-        rank_phase_[static_cast<std::size_t>(r)].post +=
-            t.elapsed_seconds();
+        rank_phase_[static_cast<std::size_t>(r)].post += phase.stop();
     }
 }
 
@@ -245,8 +243,7 @@ void DistributedShallowSolver<Policy>::complete_halos() {
     };
     for (int r = 0; r < cfg_.ranks; ++r) {
         Rank& rk = ranks_[static_cast<std::size_t>(r)];
-        TP_OBS_SPAN_RANK("dist.rank.wait", r);
-        util::WallTimer t;
+        obs::Phase phase("dist.rank.wait", r);
         if (r > 0) {
             unpack_row(rk, 0,
                        cfg_.overlap ? comm_.complete(r, r - 1, kTagUp)
@@ -271,8 +268,7 @@ void DistributedShallowSolver<Policy>::complete_halos() {
                 rk.hv[idx(rk.rows + 1, i)] = -rk.hv[idx(rk.rows, i)];
             }
         }
-        rank_phase_[static_cast<std::size_t>(r)].wait +=
-            t.elapsed_seconds();
+        rank_phase_[static_cast<std::size_t>(r)].wait += phase.stop();
     }
 }
 
@@ -306,10 +302,9 @@ void DistributedShallowSolver<Policy>::precompute_interior() {
 #pragma omp parallel for schedule(static)
     for (std::int64_t r = 0; r < n; ++r) {
         Rank& rk = ranks_[static_cast<std::size_t>(r)];
-        TP_OBS_SPAN_RANK("dist.rank.precompute", static_cast<int>(r));
-        util::WallTimer t;
+        obs::Phase phase("dist.rank.precompute", static_cast<int>(r));
         precompute_rows(rk, 1, rk.rows);
-        const double s = t.elapsed_seconds();
+        const double s = phase.stop();
         rk.cost_seconds += s;
         rank_phase_[static_cast<std::size_t>(r)].precompute += s;
     }
@@ -358,10 +353,9 @@ void DistributedShallowSolver<Policy>::update_interior(double dt) {
 #pragma omp parallel for schedule(static)
     for (std::int64_t r = 0; r < n; ++r) {
         Rank& rk = ranks_[static_cast<std::size_t>(r)];
-        TP_OBS_SPAN_RANK("dist.rank.interior", static_cast<int>(r));
-        util::WallTimer t;
+        obs::Phase phase("dist.rank.interior", static_cast<int>(r));
         if (rk.rows >= 3) update_rows(rk, 2, rk.rows - 1, dt);
-        const double s = t.elapsed_seconds();
+        const double s = phase.stop();
         rk.cost_seconds += s;
         rank_phase_[static_cast<std::size_t>(r)].interior += s;
     }
@@ -379,8 +373,7 @@ void DistributedShallowSolver<Policy>::update_boundary(double dt) {
 #pragma omp parallel for schedule(static)
     for (std::int64_t r = 0; r < n; ++r) {
         Rank& rk = ranks_[static_cast<std::size_t>(r)];
-        TP_OBS_SPAN_RANK("dist.rank.boundary", static_cast<int>(r));
-        util::WallTimer t;
+        obs::Phase phase("dist.rank.boundary", static_cast<int>(r));
         precompute_rows(rk, 0, 0);
         precompute_rows(rk, rk.rows + 1, rk.rows + 1);
         update_rows(rk, 1, 1, dt);
@@ -388,7 +381,7 @@ void DistributedShallowSolver<Policy>::update_boundary(double dt) {
         rk.h.swap(rk.h2);
         rk.hu.swap(rk.hu2);
         rk.hv.swap(rk.hv2);
-        const double s = t.elapsed_seconds();
+        const double s = phase.stop();
         rk.cost_seconds += s;
         rank_phase_[static_cast<std::size_t>(r)].boundary += s;
     }
@@ -419,7 +412,7 @@ void DistributedShallowSolver<Policy>::maybe_rebalance() {
     if (cfg_.lb_interval <= 0 || step_count_ == 0 ||
         step_count_ % cfg_.lb_interval != 0)
         return;
-    util::ScopedTimer t(timers_, "rebalance");
+    obs::Phase phase("dist.rebalance", timers_, "rebalance");
     // Spread each rank's measured sweep seconds evenly over its rows —
     // row granularity is all the splitter needs, and the uniform spread
     // keeps a balanced partition a fixed point.
@@ -507,64 +500,40 @@ void DistributedShallowSolver<Policy>::apply_partition(
 template <fp::PrecisionPolicy Policy>
 double DistributedShallowSolver<Policy>::step() {
     TP_OBS_SPAN("dist.step");
-    util::WallTimer t_step;
     maybe_rebalance();
 
     for (RankPhaseSeconds& rp : rank_phase_) rp = {};
     const std::uint64_t bytes0 = comm_.bytes_sent();
-    double s_pack = 0.0, s_wait = 0.0, s_pre = 0.0, s_update = 0.0;
-    {
-        TP_OBS_SPAN("dist.halo_post");
-        util::WallTimer t;
-        post_halos();
-        s_pack = t.elapsed_seconds();
-        timers_.add("halo_pack", s_pack);
-    }
+    obs::Phase pack("dist.halo_post", timers_, "halo_pack");
+    post_halos();
+    const double s_pack = pack.stop();
     const std::uint64_t bytes_posted = comm_.bytes_sent();
+    double s_wait = 0.0;
     if (!cfg_.overlap) {
         // BSP baseline: the phase barrier sits before any update work.
-        TP_OBS_SPAN("dist.halo_wait");
-        util::WallTimer t;
+        obs::Phase wait("dist.halo_wait", timers_, "halo_wait");
         complete_halos();
-        s_wait = t.elapsed_seconds();
-        timers_.add("halo_wait", s_wait);
+        s_wait = wait.stop();
     }
-    {
-        // Owned-row precompute + CFL fold reads only owned state, so in
-        // overlap mode it runs while the boundary-row exchange is in
-        // flight.
-        TP_OBS_SPAN("dist.precompute");
-        util::WallTimer t;
-        precompute_interior();
-        s_pre = t.elapsed_seconds();
-        timers_.add("precompute", s_pre);
-    }
+    // Owned-row precompute + CFL fold reads only owned state, so in
+    // overlap mode it runs while the boundary-row exchange is in flight.
+    obs::Phase pre("dist.precompute", timers_, "precompute");
+    precompute_interior();
+    const double s_pre = pre.stop();
     const double dt = fused_dt();
-    {
-        // Interior rows read only owned rows too — still inside the
-        // overlap window.
-        TP_OBS_SPAN("dist.interior");
-        util::WallTimer t;
-        update_interior(dt);
-        const double s = t.elapsed_seconds();
-        s_update += s;
-        timers_.add("interior", s);
-    }
+    // Interior rows read only owned rows too — still inside the overlap
+    // window.
+    obs::Phase interior("dist.interior", timers_, "interior");
+    update_interior(dt);
+    double s_update = interior.stop();
     if (cfg_.overlap) {
-        TP_OBS_SPAN("dist.halo_wait");
-        util::WallTimer t;
+        obs::Phase wait("dist.halo_wait", timers_, "halo_wait");
         complete_halos();
-        s_wait = t.elapsed_seconds();
-        timers_.add("halo_wait", s_wait);
+        s_wait = wait.stop();
     }
-    {
-        TP_OBS_SPAN("dist.boundary");
-        util::WallTimer t;
-        update_boundary(dt);
-        const double s = t.elapsed_seconds();
-        s_update += s;
-        timers_.add("boundary", s);
-    }
+    obs::Phase boundary("dist.boundary", timers_, "boundary");
+    update_boundary(dt);
+    s_update += boundary.stop();
 
     // Work accounting: one precompute record (the CFL fold rides that
     // pass) and one fused flux + apply record, split by the precision
@@ -598,7 +567,6 @@ double DistributedShallowSolver<Policy>::step() {
 
     time_ += dt;
     ++step_count_;
-    timers_.add("step", t_step.elapsed_seconds());
     return dt;
 }
 

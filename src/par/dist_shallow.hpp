@@ -190,8 +190,7 @@ public:
 
     // --- Instrumentation ---------------------------------------------------
     /// Accumulated per-phase wall times: "halo_pack", "precompute",
-    /// "halo_wait", "interior", "boundary", "rebalance", plus the "step"
-    /// aggregate.
+    /// "halo_wait", "interior", "boundary", "rebalance".
     [[nodiscard]] const util::StopwatchRegistry& timers() const {
         return timers_;
     }

@@ -83,9 +83,7 @@ struct KernelWork {
 /// Threading contract: every parallel kernel times its whole fork-join
 /// region once (wall clock, on the calling thread) and issues a single
 /// record() after the join, passing the team size it ran with. Worker
-/// threads never call record() directly; code that does accumulate on
-/// worker threads should keep a per-thread WorkLedger and fold it in with
-/// merge(), which combines entries in kernel-name order.
+/// threads never call record().
 class WorkLedger {
 public:
     void record(const std::string& kernel, double seconds,
@@ -104,13 +102,6 @@ public:
         w.threads = w.threads > threads ? w.threads : threads;
         w.simd_lanes =
             w.simd_lanes > simd_lanes ? w.simd_lanes : simd_lanes;
-    }
-
-    /// Fold another ledger (e.g. a per-thread one) into this one. The map
-    /// iterates in kernel-name order, so the combination is deterministic.
-    void merge(const WorkLedger& other) {
-        for (const auto& [name, work] : other.kernels_)
-            kernels_[name] += work;
     }
 
     [[nodiscard]] const KernelWork* find(const std::string& kernel) const {

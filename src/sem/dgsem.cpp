@@ -227,7 +227,6 @@ void SpectralEulerSolver<Policy>::account(const std::string& kernel,
                    converts, bytes_compute,
                    static_cast<std::uint32_t>(util::max_threads()),
                    simd_lanes);
-    timers_.add(kernel, seconds);
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -310,7 +309,7 @@ void SpectralEulerSolver<Policy>::filter_sweep_native() {
 template <fp::PrecisionPolicy Policy>
 template <typename S>
 void SpectralEulerSolver<Policy>::volume_kernel() {
-    util::WallTimer timer;
+    obs::Phase phase("sem.volume", timers_, "volume");
     const bool native = simd::use_native(cfg_.simd);
     if (native)
         volume_sweep_native<S>();
@@ -327,7 +326,7 @@ void SpectralEulerSolver<Policy>::volume_kernel() {
          std::is_same_v<compute_t, double>)
             ? nodes * 8
             : 0;
-    account("volume", timer.elapsed_seconds(), flops, bytes, converts,
+    account("volume", phase.stop(), flops, bytes, converts,
             nodes * 10 * sizeof(compute_t),
             native ? static_cast<std::uint32_t>(
                          simd::native_lanes<compute_t>)
@@ -337,7 +336,7 @@ void SpectralEulerSolver<Policy>::volume_kernel() {
 template <fp::PrecisionPolicy Policy>
 template <typename S>
 void SpectralEulerSolver<Policy>::surface_kernel() {
-    util::WallTimer timer;
+    obs::Phase phase("sem.surface", timers_, "surface");
     using std::sqrt;
     using std::fabs;
     const int np = np_;
@@ -492,7 +491,7 @@ void SpectralEulerSolver<Policy>::surface_kernel() {
          std::is_same_v<compute_t, double>)
             ? face_nodes * 10
             : 0;
-    account("surface", timer.elapsed_seconds(), flops, bytes, converts,
+    account("surface", phase.stop(), flops, bytes, converts,
             face_nodes * 10 * sizeof(compute_t));
 }
 
@@ -506,7 +505,7 @@ void SpectralEulerSolver<Policy>::surface_kernel() {
 template <fp::PrecisionPolicy Policy>
 template <typename S>
 void SpectralEulerSolver<Policy>::gradient_kernel() {
-    util::WallTimer timer;
+    obs::Phase phase("sem.gradient", timers_, "gradient");
     const int np = np_;
     const S gm1 = S(cfg_.atm.gamma - 1.0);
     const S rgas = S(cfg_.atm.gas_constant);
@@ -610,7 +609,7 @@ void SpectralEulerSolver<Policy>::gradient_kernel() {
     }
 
     const std::uint64_t nodes = num_nodes();
-    account("gradient", timer.elapsed_seconds(),
+    account("gradient", phase.stop(),
             nodes * static_cast<std::uint64_t>(20 + 18 * np),
             nodes * 8 * sizeof(storage_t), 0,
             nodes * 12 * sizeof(compute_t),
@@ -621,7 +620,7 @@ void SpectralEulerSolver<Policy>::gradient_kernel() {
 template <fp::PrecisionPolicy Policy>
 template <typename S>
 void SpectralEulerSolver<Policy>::viscous_kernel() {
-    util::WallTimer timer;
+    obs::Phase phase("sem.viscous", timers_, "viscous");
     const int np = np_;
     const std::size_t npts = npts_;
     const auto snp = static_cast<std::size_t>(np);
@@ -842,7 +841,7 @@ void SpectralEulerSolver<Policy>::viscous_kernel() {
     }
 
     const std::uint64_t nodes = num_nodes();
-    account("viscous", timer.elapsed_seconds(),
+    account("viscous", phase.stop(),
             nodes * static_cast<std::uint64_t>(60 + 24 * np),
             nodes * 8 * sizeof(storage_t), 0,
             nodes * 20 * sizeof(compute_t));
@@ -1200,8 +1199,7 @@ void SpectralEulerSolver<Policy>::compute_rhs() {
 
 template <fp::PrecisionPolicy Policy>
 void SpectralEulerSolver<Policy>::rk_stage(double a, double b, double dt) {
-    TP_OBS_SPAN("sem.rk_stage");
-    util::WallTimer timer;
+    obs::Phase phase("sem.rk_stage", timers_, "rk_update");
     const std::size_t n = num_nodes();
     const compute_t ac = static_cast<compute_t>(a);
     const compute_t bc = static_cast<compute_t>(b);
@@ -1221,7 +1219,7 @@ void SpectralEulerSolver<Policy>::rk_stage(double a, double b, double dt) {
         }
     }
     if (shadow) shadow_profile_rk_observe();
-    account("rk_update", timer.elapsed_seconds(), n * kRkFlopsPerNode,
+    account("rk_update", phase.stop(), n * kRkFlopsPerNode,
             n * kVars * 2 * sizeof(storage_t),
             (sizeof(storage_t) != sizeof(compute_t) &&
              std::is_same_v<compute_t, double>)
@@ -1232,8 +1230,7 @@ void SpectralEulerSolver<Policy>::rk_stage(double a, double b, double dt) {
 
 template <fp::PrecisionPolicy Policy>
 void SpectralEulerSolver<Policy>::apply_filter() {
-    TP_OBS_SPAN("sem.filter");
-    util::WallTimer timer;
+    obs::Phase phase("sem.filter", timers_, "filter");
     const int np = np_;
     const bool native = simd::use_native(cfg_.simd);
     const bool shadow = obs::shadow_kernel_active("sem.filter");
@@ -1244,7 +1241,7 @@ void SpectralEulerSolver<Policy>::apply_filter() {
         filter_sweep_scalar();
     if (shadow) shadow_profile_filter_observe();
     const std::uint64_t nodes = num_nodes();
-    account("filter", timer.elapsed_seconds(),
+    account("filter", phase.stop(),
             nodes * static_cast<std::uint64_t>(30 * np),
             nodes * kVars * 2 * sizeof(storage_t),
             (sizeof(storage_t) != sizeof(compute_t) &&
@@ -1258,8 +1255,7 @@ void SpectralEulerSolver<Policy>::apply_filter() {
 
 template <fp::PrecisionPolicy Policy>
 double SpectralEulerSolver<Policy>::compute_dt() {
-    TP_OBS_SPAN("sem.cfl");
-    util::WallTimer timer;
+    obs::Phase phase("sem.cfl", timers_, "cfl");
     const std::size_t n = num_nodes();
     const double gm1 = cfg_.atm.gamma - 1.0;
     // Smallest node spacing per direction; the 3-D DG spectral radius sums
@@ -1291,7 +1287,7 @@ double SpectralEulerSolver<Policy>::compute_dt() {
     // Fixed-shape reduction: the stable dt is bit-identical at any thread
     // count (max is exact, the blocked shape depends only on n).
     const double rate_max = sum::parallel_max(cfl_scratch_, 0.0);
-    account("cfl", timer.elapsed_seconds(), n * kCflFlopsPerNode,
+    account("cfl", phase.stop(), n * kCflFlopsPerNode,
             n * 8 * sizeof(storage_t), 0);
     double dt = cfg_.courant / rate_max;
     if (cfg_.viscosity > 0.0) {

@@ -686,7 +686,8 @@ void ShallowWaterSolver<Policy>::remap_state(const mesh::RemapPlan& plan) {
 
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rezone() {
-    TP_OBS_SPAN("clamr.rezone");
+    // Whole-rezone aggregate; the four phases below nest under it.
+    obs::Phase all("clamr.rezone", timers_, "rezone");
     const std::uint64_t old_cells = mesh_.num_cells();
     const auto threads = static_cast<std::uint32_t>(util::max_threads());
     constexpr std::uint64_t ss = sizeof(storage_t);
@@ -694,63 +695,41 @@ void ShallowWaterSolver<Policy>::rezone() {
     // Per-slot table traffic: index + area entry.
     constexpr std::uint64_t slot_bytes =
         kSlots * (sizeof(std::int32_t) + sc);
-    util::WallTimer t_all;
-    util::WallTimer t;
 
     // Phase 1: refinement flags, read per cell off the slot tables.
-    {
-        TP_OBS_SPAN("clamr.rezone_flags");
-        compute_refinement_flags(flags_scratch_);
-    }
-    const double s_flags = t.elapsed_seconds();
-    ledger_.record("rezone_flags", s_flags, 0, 0,
+    obs::Phase flags("clamr.rezone_flags", timers_, "rezone_flags", "rezone");
+    compute_refinement_flags(flags_scratch_);
+    ledger_.record("rezone_flags", flags.stop(), 0, 0,
                    old_cells * (9 * ss + slot_bytes + 1), 0, 0, threads);
-    timers_.add("rezone_flags", s_flags);
 
     // Phase 2: mesh adapt (coarsen-group approval, emit, 2:1 balance, all
     // over the sorted Morton keys — no hashing, no post-sort).
-    t.restart();
-    const auto plan = [&] {
-        TP_OBS_SPAN("clamr.rezone_adapt");
-        return mesh_.adapt(flags_scratch_);
-    }();
-    const double s_adapt = t.elapsed_seconds();
+    obs::Phase adapt("clamr.rezone_adapt", timers_, "rezone_adapt", "rezone");
+    const auto plan = mesh_.adapt(flags_scratch_);
+    const double s_adapt = adapt.stop();
     const std::uint64_t new_cells = mesh_.num_cells();
     const std::uint64_t adapt_bytes =
         (old_cells + new_cells) * (sizeof(mesh::Cell) + 8) + old_cells +
         new_cells * sizeof(mesh::RemapEntry);
     ledger_.record("rezone_adapt", s_adapt, 0, 0, adapt_bytes, 0, 0,
                    threads);
-    timers_.add("rezone_adapt", s_adapt);
 
     // Phase 3: state carry-over (span memcpy + refine/coarsen gather).
-    t.restart();
-    {
-        TP_OBS_SPAN("clamr.rezone_remap");
-        remap_state(plan);
-    }
-    const double s_remap = t.elapsed_seconds();
-    ledger_.record("rezone_remap", s_remap, 0, 0,
+    obs::Phase remap("clamr.rezone_remap", timers_, "rezone_remap", "rezone");
+    remap_state(plan);
+    ledger_.record("rezone_remap", remap.stop(), 0, 0,
                    (old_cells + new_cells) * 3 * ss, 0, 0, threads);
-    timers_.add("rezone_remap", s_remap);
 
     // Phase 4: topology caches — translate surviving cells' slots, resolve
     // only the cells whose neighborhood changed.
-    t.restart();
-    const std::size_t resolved = [&] {
-        TP_OBS_SPAN("clamr.rezone_cache");
-        return update_topology_caches(plan);
-    }();
-    const double s_cache = t.elapsed_seconds();
+    obs::Phase cache("clamr.rezone_cache", timers_, "rezone_cache", "rezone");
+    const std::size_t resolved = update_topology_caches(plan);
+    const double s_cache = cache.stop();
     const std::uint64_t cache_bytes =
         (old_cells + new_cells) * slot_bytes + old_cells * 4 +
         new_cells * (sc + 4);
     ledger_.record("rezone_cache", s_cache, 0, 0, cache_bytes, 0, 0,
                    threads);
-    timers_.add("rezone_cache", s_cache);
-
-    // Aggregate timer kept for whole-rezone reporting (examples, tests).
-    timers_.add("rezone", t_all.elapsed_seconds());
     rezone_stats_.rezones += 1;
     rezone_stats_.cells_touched += old_cells + new_cells;
     rezone_stats_.translated_cells += new_cells - resolved;
@@ -791,8 +770,7 @@ template <fp::PrecisionPolicy Policy>
 
 template <fp::PrecisionPolicy Policy>
 double ShallowWaterSolver<Policy>::compute_dt() {
-    TP_OBS_SPAN("clamr.cfl");
-    util::WallTimer t;
+    obs::Phase phase("clamr.cfl", timers_, "cfl");
     const std::size_t n = mesh_.num_cells();
     const compute_t g = static_cast<compute_t>(config_.gravity);
     const compute_t hfloor = static_cast<compute_t>(1e-8);
@@ -840,7 +818,7 @@ double ShallowWaterSolver<Policy>::compute_dt() {
         std::numeric_limits<compute_t>::infinity());
 
     constexpr bool sp = std::is_same_v<compute_t, float>;
-    ledger_.record("cfl", t.elapsed_seconds(),
+    ledger_.record("cfl", phase.stop(),
                    sp ? n * kCflFlopsPerCell : 0,
                    sp ? 0 : n * kCflFlopsPerCell,
                    n * 3 * sizeof(storage_t),
@@ -850,7 +828,6 @@ double ShallowWaterSolver<Policy>::compute_dt() {
                        : 0,
                    n * sizeof(compute_t),
                    static_cast<std::uint32_t>(util::max_threads()));
-    timers_.add("cfl", t.elapsed_seconds());
     const double dt = config_.courant * static_cast<double>(dt_min);
     // Finite-dt guard: a NaN/Inf anywhere in the state poisons the CFL
     // reduction, and without this check the run would keep stepping on
@@ -1289,12 +1266,11 @@ void ShallowWaterSolver<Policy>::account_finite_diff(double seconds,
                    bytes, converts, bytes_compute,
                    static_cast<std::uint32_t>(util::max_threads()),
                    static_cast<std::uint32_t>(lanes));
-    timers_.add("finite_diff", seconds);
 }
 
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::finite_diff(double dt) {
-    util::WallTimer t;
+    obs::Phase phase("clamr.finite_diff", timers_, "finite_diff");
     const bool native = simd::use_native(config_.simd);
     const bool governed =
         governor_ != nullptr && governor_->enabled() && gov_flux_id_ >= 0;
@@ -1305,11 +1281,11 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         governed && (governor_->reduced(gov_flux_id_) !=
                      std::is_same_v<compute_t, float>);
     {
-        TP_OBS_SPAN("clamr.flux_sweep");
-        // The sweep alone gets its own timer ("flux_sweep") so the
+        // The sweep alone is its own phase ("flux_sweep") so the
         // blocked-vs-cell speedup is measurable without the boundary
         // closure, shadow hooks, and update diluting it.
-        util::WallTimer t_sweep;
+        obs::Phase sweep("clamr.flux_sweep", timers_, "flux_sweep",
+                         "finite_diff");
         const bool blocked = config_.blocks;
         if (use_alt) {
             prepare_alt_tables();
@@ -1336,7 +1312,7 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         } else {
             flux_sweep_scalar();
         }
-        timers_.add("flux_sweep", t_sweep.elapsed_seconds());
+        sweep.stop();
         // Shadow the pure sweep increments before the boundary closure
         // touches them — every sampled cell's dh/dhu/dhv is then exactly
         // one flux_block evaluation, which is what the double reference
@@ -1354,7 +1330,7 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         if (shadow) shadow_observe_apply_update(dt);
     }
     const int lanes = !native ? 1 : use_alt ? kAltLanes : kNativeLanes;
-    account_finite_diff(t.elapsed_seconds(), lanes);
+    account_finite_diff(phase.stop(), lanes);
 }
 
 template <fp::PrecisionPolicy Policy>

@@ -39,9 +39,7 @@ struct StopwatchEntry {
 /// Registry of named accumulating stopwatches. Not thread-safe by design:
 /// each solver instance owns its own registry (Core Guidelines CP.2 — avoid
 /// shared mutable state between threads). Parallel kernels time their whole
-/// fork-join region once from the calling thread and add() after the join;
-/// worker threads that must time sub-regions keep their own registry and
-/// fold it in with merge(), which combines entries in name order.
+/// fork-join region once from the calling thread and add() after the join.
 class StopwatchRegistry {
 public:
     /// Add `seconds` to the named region.
@@ -49,15 +47,6 @@ public:
         auto& e = entries_[name];
         e.total_seconds += seconds;
         ++e.calls;
-    }
-
-    /// Fold another registry (e.g. a per-thread one) into this one.
-    void merge(const StopwatchRegistry& other) {
-        for (const auto& [name, e] : other.entries_) {
-            auto& mine = entries_[name];
-            mine.total_seconds += e.total_seconds;
-            mine.calls += e.calls;
-        }
     }
 
     [[nodiscard]] double total(const std::string& name) const {
@@ -78,23 +67,6 @@ public:
 
 private:
     std::map<std::string, StopwatchEntry> entries_;
-};
-
-/// RAII helper: times the enclosing scope into a registry entry.
-class ScopedTimer {
-public:
-    ScopedTimer(StopwatchRegistry& registry, std::string name)
-        : registry_(registry), name_(std::move(name)) {}
-
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-    ~ScopedTimer() { registry_.add(name_, timer_.elapsed_seconds()); }
-
-private:
-    StopwatchRegistry& registry_;
-    std::string name_;
-    WallTimer timer_;
 };
 
 }  // namespace tp::util

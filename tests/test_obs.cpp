@@ -11,8 +11,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
+#include <map>
+#include <memory>
 #include <new>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +27,8 @@
 #include "obs/obs.hpp"
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
+#include "par/dist_shallow.hpp"
+#include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -35,7 +41,7 @@ namespace json = tp::obs::json;
 
 // Count every heap allocation in the test binary so the zero-cost-when-off
 // contract is testable: N instrumentation points with tracing/probing off
-// must perform zero allocations (and, per ScopedSpan's design, no clock
+// must perform zero allocations (and, per Phase's design, no clock
 // reads — not observable here, but the allocation half is).
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -266,7 +272,7 @@ TEST(Trace, StartRejectsUnwritablePath) {
 TEST(Trace, RankSpansLandOnVirtualRankTracks) {
     const std::string path = temp_path("rank.trace.json");
     obs::trace_start(path);
-    { TP_OBS_SPAN_RANK("dist.rank.interior", 3); }
+    { obs::Phase rank_phase("dist.rank.interior", 3); }
     { TP_OBS_SPAN("host.phase"); }
     EXPECT_EQ(obs::trace_stop(), 2u);
 
@@ -337,6 +343,139 @@ TEST(Trace, BufferCapDropsAndCountsExcessEvents) {
     // trace header carries it for the viewer.
     EXPECT_EQ(obs::trace_dropped_events(), 6u);
     EXPECT_NE(slurp(path).find("\"droppedEvents\":6"), std::string::npos);
+}
+
+// ------------------------------------------------- one clock per phase
+
+TEST(Phase, StopReturnsTheSecondsItAddsToTheStopwatch) {
+    tp::util::StopwatchRegistry timers;
+    obs::Phase phase("t.phase", timers, "phase");
+    const double seconds = phase.stop();
+    EXPECT_EQ(timers.total("phase"), seconds);
+    EXPECT_EQ(timers.calls("phase"), 1u);
+    EXPECT_EQ(phase.stop(), 0.0);  // already stopped: no second entry
+    EXPECT_EQ(timers.calls("phase"), 1u);
+    ASSERT_FALSE(obs::trace_enabled());
+    obs::Phase span_only("t.span");  // tracing off: no clock read
+    EXPECT_EQ(span_only.stop(), 0.0);
+}
+
+// One timed phase: its stopwatch key, the span that times it, and the
+// ledger kernel fed from the same stop() (nullptr: none, or a combined
+// entry such as dist_update = interior + boundary).
+struct PhaseSinks {
+    const char* key;
+    const char* span;
+    const char* kernel;
+};
+
+// Nanoseconds per span name, summed over a written Chrome trace.
+std::map<std::string, std::int64_t> span_ns(const std::string& path) {
+    std::map<std::string, std::int64_t> out;
+    const auto doc = json::parse(slurp(path));
+    EXPECT_TRUE(doc && doc->find("traceEvents") != nullptr);
+    if (!doc || doc->find("traceEvents") == nullptr) return out;
+    for (const json::Value& e : doc->find("traceEvents")->items())
+        if (e.string_or("ph", "") == "X")
+            out[e.string_or("name", "")] +=
+                std::llround(e.number_or("dur", 0.0) * 1e3);
+    return out;
+}
+
+// Build a solver with `make()` and run it `steps` steps under one trace
+// session, then check every phase it timed: the stopwatch total equals
+// the ledger seconds bit for bit, and the spans of the phase sum to the
+// stopwatch total to the nanosecond.
+template <class Make>
+void expect_one_clock_per_phase(const char* stem, Make make, int steps,
+                                std::initializer_list<PhaseSinks> phases) {
+    const std::string path = temp_path(stem);
+    obs::trace_start(path);
+    const auto solver = make();
+    solver->run(steps);
+    obs::trace_stop();
+    ASSERT_EQ(obs::trace_dropped_events(), 0u);
+    const auto spans = span_ns(path);
+
+    std::set<std::string> timed, listed;
+    for (const auto& [key, entry] : solver->timers().entries())
+        timed.insert(key);
+    for (const PhaseSinks& p : phases) {
+        SCOPED_TRACE(p.key);
+        listed.insert(p.key);
+        const double total = solver->timers().total(p.key);
+        EXPECT_GT(solver->timers().calls(p.key), 0u);
+        ASSERT_EQ(spans.count(p.span), 1u) << p.span;
+        EXPECT_EQ(spans.at(p.span), std::llround(total * 1e9)) << p.span;
+        if (p.kernel != nullptr) {
+            const tp::perf::KernelWork* w = solver->ledger().find(p.kernel);
+            ASSERT_NE(w, nullptr) << p.kernel;
+            EXPECT_EQ(w->seconds, total) << p.kernel;
+        }
+    }
+    EXPECT_EQ(timed, listed) << "a timed phase is missing from the list";
+}
+
+TEST(Phase, ClamrAmrPhasesShareOneClock) {
+    const auto make = [] {
+        tp::shallow::Config cfg;
+        cfg.geom = {0.0, 0.0, 100.0, 100.0, 16, 16, 3};
+        cfg.rezone_interval = 2;
+        auto s = std::make_unique<
+            tp::shallow::ShallowWaterSolver<tp::fp::MixedPrecision>>(cfg);
+        s->initialize_dam_break({});
+        return s;
+    };
+    expect_one_clock_per_phase(
+        "clamr.phase.trace.json", make, 12,
+        {{"cfl", "clamr.cfl", "cfl"},
+         {"finite_diff", "clamr.finite_diff", "finite_diff"},
+         {"flux_sweep", "clamr.flux_sweep", nullptr},
+         {"rezone", "clamr.rezone", nullptr},
+         {"rezone_flags", "clamr.rezone_flags", "rezone_flags"},
+         {"rezone_adapt", "clamr.rezone_adapt", "rezone_adapt"},
+         {"rezone_remap", "clamr.rezone_remap", "rezone_remap"},
+         {"rezone_cache", "clamr.rezone_cache", "rezone_cache"}});
+}
+
+TEST(Phase, SemBubblePhasesShareOneClock) {
+    const auto make = [] {
+        tp::sem::SemConfig cfg;
+        cfg.nx = cfg.ny = cfg.nz = 3;
+        cfg.order = 4;
+        auto s = std::make_unique<
+            tp::sem::SpectralEulerSolver<tp::fp::MinimumPrecision>>(cfg);
+        s->initialize_thermal_bubble({});
+        return s;
+    };
+    expect_one_clock_per_phase("sem.phase.trace.json", make, 3,
+                               {{"volume", "sem.volume", "volume"},
+                                {"surface", "sem.surface", "surface"},
+                                {"rk_update", "sem.rk_stage", "rk_update"},
+                                {"filter", "sem.filter", "filter"},
+                                {"cfl", "sem.cfl", "cfl"}});
+}
+
+TEST(Phase, DistOverlappedPhasesShareOneClock) {
+    const auto make = [] {
+        tp::par::DistConfig cfg;
+        cfg.nx = cfg.ny = 32;
+        cfg.ranks = 3;
+        cfg.overlap = true;
+        cfg.lb_interval = 2;
+        auto s = std::make_unique<
+            tp::par::DistributedShallowSolver<tp::fp::MixedPrecision>>(cfg);
+        s->initialize_dam_break();
+        return s;
+    };
+    expect_one_clock_per_phase(
+        "dist.phase.trace.json", make, 6,
+        {{"precompute", "dist.precompute", "dist_pre"},
+         {"halo_pack", "dist.halo_post", "dist_halo_post"},
+         {"halo_wait", "dist.halo_wait", "dist_halo_wait"},
+         {"interior", "dist.interior", nullptr},
+         {"boundary", "dist.boundary", nullptr},
+         {"rebalance", "dist.rebalance", nullptr}});
 }
 
 // --------------------------------------------------------------- metrics

@@ -7,12 +7,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/numerics.hpp"
 #include "obs/report.hpp"
+#include "par/dist_shallow.hpp"
+#include "shallow/solver.hpp"
+#include "util/timing.hpp"
 
 namespace report = tp::obs::report;
 namespace json = tp::obs::json;
@@ -64,7 +69,7 @@ std::string numerics_line(const std::string& kernel,
 TEST(Summarize, DigestsManifestStepsAndNumerics) {
     const report::RunSummary run = report::summarize(
         {manifest_line(), step_line(0.010, 0.002, 0.006, 1),
-         step_line(0.020, 0.002, 0.006, 0),
+         step_line(0.020, 0.002, 0.006, 1),
          numerics_line("clamr.flux_sweep", "dh", 3)});
     EXPECT_EQ(run.program, "dam_break");
     EXPECT_EQ(run.manifest.at("precision"), "mixed");
@@ -121,6 +126,91 @@ TEST(PhaseRollup, SubPhasesNestAndSharesExcludeThem) {
     EXPECT_EQ(rows[2].phase, "rezone_remap");
     EXPECT_TRUE(rows[2].sub_phase);
     EXPECT_NEAR(rows[0].share + rows[1].share, 1.0, 1e-12);
+}
+
+// Step records as dam_break and dam_break_dist write them: the step wall
+// around step(), the phase deltas from timer_delta_json, and the running
+// rezone total.
+template <class Solver>
+std::vector<std::string> example_step_records(Solver& solver, int steps) {
+    std::vector<std::string> lines;
+    std::map<std::string, double> previous;
+    for (int k = 0; k < steps; ++k) {
+        tp::util::WallTimer step_timer;
+        solver.step();
+        json::Object rec;
+        rec.field("type", "step").field("wall_s", step_timer.elapsed_seconds());
+        if constexpr (requires { solver.rezone_stats(); })
+            rec.field("rezones", solver.rezone_stats().rezones);
+        rec.field_raw("phase_seconds",
+                      tp::obs::timer_delta_json(solver.timers(), previous));
+        lines.push_back(std::move(rec).str());
+    }
+    return lines;
+}
+
+// The rollup of a real run: every sub-phase sits under its parent, and
+// the top-level phases are disjoint, so they fit inside the step walls
+// and their shares sum to one.
+void expect_disjoint_top_level(const report::RunSummary& run) {
+    double top_seconds = 0.0, top_share = 0.0;
+    for (const report::PhaseRow& row : report::phase_rollup(run))
+        if (!row.sub_phase) {
+            top_seconds += row.seconds;
+            top_share += row.share;
+        }
+    EXPECT_NEAR(top_share, 1.0, 1e-12);
+    EXPECT_GT(top_seconds, 0.0);
+    EXPECT_LE(top_seconds, run.wall_s_total);
+}
+
+TEST(PhaseRollup, RealClamrRunNestsFluxSweepAndCountsRezones) {
+    tp::shallow::Config cfg;
+    cfg.geom = {0.0, 0.0, 100.0, 100.0, 16, 16, 3};
+    cfg.rezone_interval = 2;
+    tp::shallow::ShallowWaterSolver<tp::fp::MixedPrecision> solver(cfg);
+    solver.initialize_dam_break({});
+    const report::RunSummary run =
+        report::summarize(example_step_records(solver, 12));
+
+    EXPECT_EQ(run.rezones,
+              static_cast<std::int64_t>(solver.rezone_stats().rezones));
+    EXPECT_EQ(run.phase_seconds.count("flux_sweep"), 0u);
+    EXPECT_EQ(run.phase_seconds.count("rezone_flags"), 1u);
+    const auto rows = report::phase_rollup(run);
+    const auto at = [&](const std::string& phase) {
+        return std::find_if(rows.begin(), rows.end(),
+                            [&](const report::PhaseRow& r) {
+                                return r.phase == phase;
+                            });
+    };
+    const auto parent = at("finite_diff");
+    const auto sweep = at("finite_diff_flux_sweep");
+    ASSERT_NE(parent, rows.end());
+    ASSERT_NE(sweep, rows.end());
+    EXPECT_FALSE(parent->sub_phase);
+    EXPECT_TRUE(sweep->sub_phase);
+    // Listed under its parent: after it, with no top-level row between.
+    ASSERT_LT(parent, sweep);
+    EXPECT_TRUE(std::all_of(parent + 1, sweep, [](const report::PhaseRow& r) {
+        return r.sub_phase;
+    }));
+    EXPECT_LT(sweep->seconds, parent->seconds);
+    expect_disjoint_top_level(run);
+}
+
+TEST(PhaseRollup, RealDistRunHasNoStepRow) {
+    tp::par::DistConfig cfg;
+    cfg.nx = cfg.ny = 32;
+    cfg.ranks = 3;
+    tp::par::DistributedShallowSolver<tp::fp::MixedPrecision> solver(cfg);
+    solver.initialize_dam_break();
+    const report::RunSummary run =
+        report::summarize(example_step_records(solver, 6));
+
+    EXPECT_EQ(run.phase_seconds.count("step"), 0u);
+    EXPECT_EQ(run.phase_seconds.count("interior"), 1u);
+    expect_disjoint_top_level(run);
 }
 
 // ------------------------------------------------------------------ diff

@@ -14,7 +14,6 @@
 #include "sum/parallel.hpp"
 #include "util/cli.hpp"
 #include "util/threads.hpp"
-#include "util/timing.hpp"
 #include "util/rng.hpp"
 
 namespace tf = tp::fp;
@@ -181,28 +180,6 @@ TEST_F(ThreadsTest, LedgerRecordsTeamSizeAndMergesWithMax) {
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->threads, 4u) << "threads is the largest team seen";
     EXPECT_EQ(w->invocations, 2u);
-
-    tp::perf::WorkLedger b;
-    b.record("finite_diff", 0.5, 50, 0, 400, 0, 0, 8);
-    b.record("cfl", 0.1, 0, 10, 80);
-    a.merge(b);
-    w = a.find("finite_diff");
-    EXPECT_EQ(w->threads, 8u);
-    EXPECT_EQ(w->invocations, 3u);
-    EXPECT_DOUBLE_EQ(w->seconds, 2.5);
-    ASSERT_NE(a.find("cfl"), nullptr);
-    EXPECT_EQ(a.find("cfl")->threads, 1u);
-}
-
-TEST_F(ThreadsTest, StopwatchRegistryMergeFoldsEntries) {
-    tutil::StopwatchRegistry a, b;
-    a.add("volume", 1.0);
-    b.add("volume", 0.25);
-    b.add("surface", 0.5);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.total("volume"), 1.25);
-    EXPECT_EQ(a.calls("volume"), 2u);
-    EXPECT_DOUBLE_EQ(a.total("surface"), 0.5);
 }
 
 TEST_F(ThreadsTest, SolverLedgerReportsConfiguredTeam) {

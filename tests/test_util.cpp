@@ -42,15 +42,6 @@ TEST(Timing, StopwatchAccumulates) {
     EXPECT_EQ(reg.calls("missing"), 0u);
 }
 
-TEST(Timing, ScopedTimerRecordsOnDestruction) {
-    tu::StopwatchRegistry reg;
-    {
-        tu::ScopedTimer s(reg, "scope");
-    }
-    EXPECT_EQ(reg.calls("scope"), 1u);
-    EXPECT_GE(reg.total("scope"), 0.0);
-}
-
 TEST(Format, Fixed) {
     EXPECT_EQ(tu::fixed(3.14159, 2), "3.14");
     EXPECT_EQ(tu::fixed(-1.0, 0), "-1");
