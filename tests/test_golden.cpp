@@ -3,7 +3,8 @@
 // every path shares passes them all; these catch it. Each entry is the
 // 64-bit FNV-1a (util/fnv.hpp) of a byte stream a solver produces:
 //   - shallow_checkpoint.txt: the write_checkpoint() bytes after a
-//     rezone-heavy dam break, per policy x SIMD shape x refinement depth;
+//     rezone-heavy dam break, per policy x SIMD shape x refinement depth,
+//     on a tile-aligned and an edge-straddling coarse grid;
 //   - dist_gather_height.txt: the row-stripe distributed solver's
 //     gather_height() field, per policy x rank count x schedule.
 // The arithmetic is IEEE-deterministic (no contraction in kernel TUs,
@@ -49,22 +50,33 @@ void expect_golden(const std::string& name, const std::string& expected) {
 
 // ------------------------------------------------ shallow checkpoints
 
-constexpr int kShallowGrid = 16;
-constexpr int kShallowSteps = 30;
-constexpr int kRezoneInterval = 2;
+// One dam-break configuration: coarse grid, steps, rezone interval, and
+// the max_levels to run it at.
+struct ShallowCase {
+    int grid;
+    int steps;
+    int rezone_interval;
+    std::vector<int> levels;
+};
+
+// The 16^2 grid's 8x8 flux tiles align with the domain at every level.
+// The 12^2 grid's level-0 tiles do not: they run off the domain edge, so
+// their ghost rings and partial member sets are pinned too (uniform, where
+// they are dense, and refined, where they thin out).
+const ShallowCase kAlignedCase{16, 30, 2, {0, 2, 4}};
+const ShallowCase kEdgeCase{12, 30, 4, {0, 3}};
 
 template <typename P>
-void shallow_digests(std::string& text) {
+void shallow_digests(const ShallowCase& sc, std::string& text) {
     for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native})
-        for (const int levels : {0, 2, 4}) {
+        for (const int levels : sc.levels) {
             shallow::Config cfg;
-            cfg.geom = {0.0,          0.0,          100.0, 100.0,
-                        kShallowGrid, kShallowGrid, levels};
+            cfg.geom = {0.0, 0.0, 100.0, 100.0, sc.grid, sc.grid, levels};
             cfg.simd = mode;
-            cfg.rezone_interval = kRezoneInterval;
+            cfg.rezone_interval = sc.rezone_interval;
             shallow::ShallowWaterSolver<P> s(cfg);
             s.initialize_dam_break({});
-            s.run(kShallowSteps);
+            s.run(sc.steps);
             std::ostringstream os(std::ios::binary);
             s.write_checkpoint(os);
             add_digest(text,
@@ -77,15 +89,17 @@ void shallow_digests(std::string& text) {
 TEST(Golden, ShallowCheckpointDigests) {
     std::string text =
         "# FNV-1a of ShallowWaterSolver::write_checkpoint() after a dam "
-        "break on a\n# " +
-        std::to_string(kShallowGrid) + "^2 coarse grid, " +
-        std::to_string(kShallowSteps) + " steps, rezone every " +
-        std::to_string(kRezoneInterval) +
-        " steps. Key: policy simd max_level.\n";
-    shallow_digests<fp::MinimumPrecision>(text);
-    shallow_digests<fp::MixedPrecision>(text);
-    shallow_digests<fp::FullPrecision>(text);
-    shallow_digests<fp::HalfStoragePrecision>(text);
+        "break on a\n";
+    for (const ShallowCase* sc : {&kAlignedCase, &kEdgeCase}) {
+        text += "# " + std::to_string(sc->grid) + "^2 coarse grid, " +
+                std::to_string(sc->steps) + " steps, rezone every " +
+                std::to_string(sc->rezone_interval) +
+                " steps. Key: policy simd max_level.\n";
+        shallow_digests<fp::MinimumPrecision>(*sc, text);
+        shallow_digests<fp::MixedPrecision>(*sc, text);
+        shallow_digests<fp::FullPrecision>(*sc, text);
+        shallow_digests<fp::HalfStoragePrecision>(*sc, text);
+    }
     expect_golden("shallow_checkpoint.txt", text);
 }
 
