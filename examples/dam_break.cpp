@@ -6,7 +6,6 @@
 //   $ ./dam_break --precision mixed --grid 128 --levels 2 --steps 400 \
 //                 --cut cut.csv --checkpoint state.ckpt
 
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -35,7 +34,6 @@ int run(const util::ArgParser& args) {
     cfg.geom = {0.0, 0.0, 100.0, 100.0, n, n, args.get_int("levels")};
     cfg.courant = args.get_double("courant");
     cfg.simd = util::apply_simd_option(args);
-    cfg.blocks = util::apply_blocks_option(args);
 
     shallow::DamBreak ic;
     ic.h_inside = args.get_double("h-inside");
@@ -53,7 +51,6 @@ int run(const util::ArgParser& args) {
         args, "dam_break",
         {{"precision", std::string(Policy::name)},
          {"simd", simd::use_native(cfg.simd) ? simd::isa_name() : "scalar"},
-         {"blocks", shallow::blocks_mode_name(cfg.blocks)},
          {"grid", std::to_string(n)},
          {"levels", std::to_string(cfg.geom.max_level)},
          {"courant", std::to_string(cfg.courant)},
@@ -181,22 +178,6 @@ int run(const util::ArgParser& args) {
         solver.timers().total("rezone_adapt"),
         solver.timers().total("rezone_remap"),
         solver.timers().total("rezone_cache"));
-    if (cfg.blocks) {
-        const auto& bs = solver.block_index().stats();
-        std::size_t tiled_cells = 0;
-        for (const auto& t : solver.tile_blocks())
-            tiled_cells += static_cast<std::size_t>(
-                std::popcount(t.regular));
-        std::printf(
-            "blocks: %zu dense tiles (%zu cells), %zu fallback cells, "
-            "flux_sweep %.3f s, rezone updates %llu rebuilt / "
-            "%llu translated\n",
-            solver.tile_blocks().size(), tiled_cells,
-            solver.fallback_cells().size(),
-            solver.timers().total("flux_sweep"),
-            static_cast<unsigned long long>(bs.blocks_rebuilt),
-            static_cast<unsigned long long>(bs.blocks_translated));
-    }
     std::printf("mass drift: %+.3e (relative)\n",
                 (solver.total_mass() - mass0) / mass0);
     if (governor.enabled()) {
@@ -262,7 +243,6 @@ int main(int argc, char** argv) {
     args.add_flag("verbose", "print periodic step diagnostics");
     util::add_checkpoint_options(args);
     util::add_simd_option(args);
-    util::add_blocks_option(args);
     util::add_threads_option(args);
     util::add_governor_options(args);
     obs::add_obs_options(args);

@@ -94,16 +94,6 @@ std::int32_t AmrMesh::covering_leaf(std::int32_t level, std::int32_t i,
     return static_cast<std::int32_t>(it - keys_.begin()) - 1;
 }
 
-std::pair<std::int32_t, std::int32_t> AmrMesh::leaves_in_range(
-    std::uint64_t morton_lo, std::uint64_t morton_hi) const {
-    if (morton_lo >= morton_hi) return {0, 0};
-    const auto first =
-        std::lower_bound(keys_.begin(), keys_.end(), morton_lo);
-    const auto last = std::lower_bound(first, keys_.end(), morton_hi);
-    return {static_cast<std::int32_t>(first - keys_.begin()),
-            static_cast<std::int32_t>(last - keys_.begin())};
-}
-
 std::int32_t AmrMesh::gallop_last_le(std::int32_t hint, std::uint64_t x) const {
     const auto n = static_cast<std::int32_t>(keys_.size());
     std::int32_t step = 1;

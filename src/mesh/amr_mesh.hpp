@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mesh/cell.hpp"
@@ -93,6 +92,14 @@ struct RemapPlan {
     std::vector<CopySpan> copy_spans;
 
     [[nodiscard]] std::size_t size() const { return entries.size(); }
+    /// True when the adapt changed nothing: one copy span covering every
+    /// new cell with shift 0. (Every old cell either survives as a Copy or
+    /// feeds a Refine/Coarsen entry, so an all-Copy plan is the old mesh.)
+    [[nodiscard]] bool is_identity() const {
+        return copy_spans.size() == 1 && copy_spans[0].begin == 0 &&
+               copy_spans[0].end == static_cast<std::int32_t>(size()) &&
+               copy_spans[0].shift == 0;
+    }
     [[nodiscard]] const RemapEntry& operator[](std::size_t idx) const {
         return entries[idx];
     }
@@ -170,24 +177,6 @@ public:
                                                std::int32_t level,
                                                std::int32_t i,
                                                std::int32_t j) const;
-
-    /// Contiguous leaf-index range [first, last) whose finest-level Morton
-    /// anchors lie in [morton_lo, morton_hi). Because leaves are stored in
-    /// strictly increasing anchor order, any half-open code interval maps
-    /// to one contiguous index interval — the bulk-iteration primitive the
-    /// block builder uses to enumerate a Morton-aligned tile's members.
-    /// The range may be empty (first == last); unaligned edges are fine:
-    /// a leaf whose anchor precedes morton_lo is excluded even when its
-    /// extent overlaps the query (callers that need the covering leaf of
-    /// morton_lo use covering_leaf on the quadrant instead).
-    [[nodiscard]] std::pair<std::int32_t, std::int32_t> leaves_in_range(
-        std::uint64_t morton_lo, std::uint64_t morton_hi) const;
-
-    /// Finest-level Morton anchor key of leaf `idx` (the sort key of the
-    /// leaf list — what leaves_in_range intervals are expressed in).
-    [[nodiscard]] std::uint64_t leaf_key(std::int32_t idx) const {
-        return keys_[static_cast<std::size_t>(idx)];
-    }
 
     // --- Topology ---------------------------------------------------------
     /// Apply per-cell adaptation flags. Coarsening happens only when all

@@ -1,26 +1,10 @@
 #pragma once
 // Configuration types for the CLAMR-analogue shallow-water mini-app.
 
-#include <stdexcept>
-#include <string>
-
 #include "mesh/amr_mesh.hpp"
 #include "simd/dispatch.hpp"
 
 namespace tp::shallow {
-
-/// Parse the --blocks CLI spelling ("on" | "off"); throws
-/// std::invalid_argument on anything else.
-inline bool parse_blocks_mode(const std::string& s) {
-    if (s == "on") return true;
-    if (s == "off") return false;
-    throw std::invalid_argument("blocks mode must be 'on' or 'off', got '" +
-                                s + "'");
-}
-
-[[nodiscard]] inline const char* blocks_mode_name(bool on) {
-    return on ? "on" : "off";
-}
 
 /// Solver configuration. Defaults reproduce the paper's cylindrical
 /// dam-break setup at laptop scale; the benches override sizes per table.
@@ -36,10 +20,6 @@ struct Config {
                                          ///< finite_diff kernel (runtime
                                          ///< --simd=auto|scalar|native);
                                          ///< both paths are bit-identical
-    bool blocks = false;  ///< --blocks=on|off: run the flux sweep over
-                          ///< dense SoA mesh-block tiles (bit-identical
-                          ///< to the cell path; off preserves the cell
-                          ///< path untouched)
 };
 
 /// Cylindrical dam break initial condition: a column of water of height

@@ -1,28 +1,29 @@
 #pragma once
-// The Rusanov flux sweep as a width-templated pack kernel (internal to the
-// shallow-water solver; tests include it to probe the two instantiations
+// The Rusanov flux sweep as width-templated kernels (internal to the
+// shallow-water solver; tests include it to probe the instantiations
 // directly).
 //
-// One template body, two instantiations per precision policy:
+// One template body per kernel, two instantiations per precision policy:
 //
 //   W == 1                      the scalar path, driven from a translation
 //                               unit compiled with the auto-vectorizer off
 //                               (flux_scalar.cpp) so it measures true
 //                               scalar issue (Table III's baseline);
 //   W == native_lanes<compute>  the vector path, lowered to full-width
-//                               SIMD by the pack primitives (solver.cpp).
+//                               SIMD by the pack primitives and the
+//                               annotated loops (solver.cpp).
 //
-// Because pack operations are per-lane IEEE ops and the kernel TUs are
-// compiled with -ffp-contract=off, the two instantiations are bit-identical
-// per cell — `--simd` changes instruction shape, never the physics.
+// Every operation is an individually rounded IEEE op in either shape and
+// the kernel TUs are compiled with -ffp-contract=off, so the two
+// instantiations are bit-identical per cell — `--simd` changes
+// instruction shape, never the physics.
 //
-// The sweep is level-bucketed: cells are binned into maximal same-level
-// Morton runs when the neighbor tables are rebuilt, and the vector driver
-// walks W-wide blocks that never straddle a run boundary. Within a block
-// the center state loads are unit-stride, the neighbor *index* loads are
-// unit-stride (slot-major tables), and only the neighbor state goes through
-// a gather; run tails use the partial ops, which replicate the last valid
-// lane so every lane computes on real, finite data.
+// The AMR sweep is tiled (DESIGN.md §13): the solver groups same-level
+// cells into Morton-aligned 8x8 tiles and computes every cell whose four
+// sides each touch exactly one same-or-coarser neighbor with the dense
+// tile kernel below; the remaining cells (level interfaces, the domain
+// edge, sparse tiles) go through flux_block_gather, which reads the
+// neighbor-slot tables directly.
 
 #include <bit>
 #include <cmath>
@@ -58,12 +59,18 @@ struct LevelRun {
     std::int32_t level;
 };
 
-/// Flux update for the block of `m` cells starting at `c` (1 <= m <= W;
-/// the block never crosses a level-run boundary). Every cell evaluates its
-/// eight sub-face slots and writes only its own increments — CLAMR's
-/// scatter-free, redundant-flux trade.
+/// Flux update for an arbitrary list of `m` cells (1 <= m <= W): lane l
+/// computes cell cells[l]. Every cell evaluates its eight sub-face slots
+/// and writes only its own increments — CLAMR's scatter-free,
+/// redundant-flux trade. The arithmetic is purely per-lane, so which
+/// cells share a pack is irrelevant to the bits; the tiled sweep's
+/// fallback cells (scattered singletons at tile seams and level
+/// interfaces) ride full-width packs this way. Dead lanes of a partial
+/// pack replicate the last valid cell, so every lane computes on real,
+/// finite data.
 template <typename S, typename C, int W>
-inline void flux_block(const FluxArgs<S, C>& A, std::size_t c, int m) {
+inline void flux_block_gather(const FluxArgs<S, C>& A,
+                              const std::int32_t* cells, int m) {
     using cpk = simd::pack<C, W>;
     using spk = simd::pack<S, W>;
     const bool full = m == W;
@@ -75,7 +82,8 @@ inline void flux_block(const FluxArgs<S, C>& A, std::size_t c, int m) {
     const cpk hfloor = cpk::broadcast(C(1e-8));
 
     const auto load_state = [&](const S* p) {
-        const spk s = full ? spk::load(p + c) : spk::load_partial(p + c, m);
+        const spk s = full ? spk::gather(p, cells)
+                           : spk::gather_partial(p, cells, m);
         return s.template convert<C>();
     };
     const cpk hC = simd::max(load_state(A.h), hfloor);
@@ -87,15 +95,19 @@ inline void flux_block(const FluxArgs<S, C>& A, std::size_t c, int m) {
     cpk ddhv = cpk::broadcast(C(0));
 
     const auto side = [&]<int SLOT>() {
-        constexpr bool xd = SLOT < 4;        // x-directed face
+        constexpr bool xd = SLOT < 4;          // x-directed face
         constexpr bool pos = (SLOT & 2) != 0;  // cell is on the low side
-        const std::size_t off = static_cast<std::size_t>(SLOT) * A.n + c;
-        const std::int32_t* idx = A.nbr + off;
-        const cpk a = full ? cpk::load(A.areas + off)
-                           : cpk::load_partial(A.areas + off, m);
+        const std::size_t off = static_cast<std::size_t>(SLOT) * A.n;
+        // Per-lane slot index and area via the cell list (dead lanes
+        // replicate the last valid cell, exactly like gather_partial).
+        std::int32_t idx[W];
+        for (int l = 0; l < W; ++l)
+            idx[l] = A.nbr[off + static_cast<std::size_t>(
+                                     cells[l < m ? l : m - 1])];
+        const cpk a = full ? cpk::gather(A.areas + off, cells)
+                           : cpk::gather_partial(A.areas + off, cells, m);
         const auto gather_state = [&](const S* p) {
-            const spk s = full ? spk::gather(p, idx)
-                               : spk::gather_partial(p, idx, m);
+            const spk s = spk::gather(p, idx);
             return s.template convert<C>();
         };
         const cpk hN = simd::max(gather_state(A.h), hfloor);
@@ -147,111 +159,6 @@ inline void flux_block(const FluxArgs<S, C>& A, std::size_t c, int m) {
     side.template operator()<5>();
     side.template operator()<6>();
     side.template operator()<7>();
-    if (full) {
-        ddh.store(A.dh + c);
-        ddhu.store(A.dhu + c);
-        ddhv.store(A.dhv + c);
-    } else {
-        ddh.store_partial(A.dh + c, m);
-        ddhu.store_partial(A.dhu + c, m);
-        ddhv.store_partial(A.dhv + c, m);
-    }
-}
-
-/// flux_block over an arbitrary cell list: lane l computes cell cells[l].
-/// The kernel's arithmetic is purely per-lane, so which cells share a pack
-/// is irrelevant to the bits — this exists so the blocked sweep's
-/// fallback cells (scattered singletons at tile seams and level
-/// interfaces) can ride full-width packs instead of paying a whole
-/// masked pack per two-cell run. Same expressions as flux_block, token
-/// for token; only the addressing differs (center loads and increment
-/// stores go through the list, neighbor indices through one extra
-/// per-lane table hop).
-template <typename S, typename C, int W>
-inline void flux_block_gather(const FluxArgs<S, C>& A,
-                              const std::int32_t* cells, int m) {
-    using cpk = simd::pack<C, W>;
-    using spk = simd::pack<S, W>;
-    const bool full = m == W;
-
-    const cpk g = cpk::broadcast(A.gravity);
-    const cpk half = cpk::broadcast(C(0.5));
-    const cpk half_g = cpk::broadcast(C(0.5) * A.gravity);
-    const cpk one = cpk::broadcast(C(1));
-    const cpk hfloor = cpk::broadcast(C(1e-8));
-
-    const auto load_state = [&](const S* p) {
-        const spk s = full ? spk::gather(p, cells)
-                           : spk::gather_partial(p, cells, m);
-        return s.template convert<C>();
-    };
-    const cpk hC = simd::max(load_state(A.h), hfloor);
-    const cpk huC = load_state(A.hu);
-    const cpk hvC = load_state(A.hv);
-    const cpk invC = one / hC;
-    cpk ddh = cpk::broadcast(C(0));
-    cpk ddhu = cpk::broadcast(C(0));
-    cpk ddhv = cpk::broadcast(C(0));
-
-    const auto side = [&]<int SLOT>() {
-        constexpr bool xd = SLOT < 4;
-        constexpr bool pos = (SLOT & 2) != 0;
-        const std::size_t off = static_cast<std::size_t>(SLOT) * A.n;
-        // Per-lane slot index and area via the cell list (dead lanes
-        // replicate the last valid cell, exactly like gather_partial).
-        std::int32_t idx[W];
-        for (int l = 0; l < W; ++l)
-            idx[l] = A.nbr[off + static_cast<std::size_t>(
-                                     cells[l < m ? l : m - 1])];
-        const cpk a = full ? cpk::gather(A.areas + off, cells)
-                           : cpk::gather_partial(A.areas + off, cells, m);
-        const auto gather_state = [&](const S* p) {
-            const spk s = spk::gather(p, idx);
-            return s.template convert<C>();
-        };
-        const cpk hN = simd::max(gather_state(A.h), hfloor);
-        const cpk huN = gather_state(A.hu);
-        const cpk hvN = gather_state(A.hv);
-        const cpk invN = one / hN;
-        const cpk qnC = xd ? huC : hvC;
-        const cpk qtC = xd ? hvC : huC;
-        const cpk qnN = xd ? huN : hvN;
-        const cpk qtN = xd ? hvN : huN;
-        const cpk hL = pos ? hC : hN;
-        const cpk hR = pos ? hN : hC;
-        const cpk qnL = pos ? qnC : qnN;
-        const cpk qnR = pos ? qnN : qnC;
-        const cpk qtL = pos ? qtC : qtN;
-        const cpk qtR = pos ? qtN : qtC;
-        const cpk invL = pos ? invC : invN;
-        const cpk invR = pos ? invN : invC;
-        const cpk unL = qnL * invL;
-        const cpk unR = qnR * invR;
-        const cpk utL = qtL * invL;
-        const cpk utR = qtR * invR;
-        const cpk cL = simd::sqrt(g * hL);
-        const cpk cR = simd::sqrt(g * hR);
-        const cpk smax =
-            simd::max(simd::abs(unL) + cL, simd::abs(unR) + cR);
-        const cpk f1 = half * (qnL + qnR) - half * smax * (hR - hL);
-        const cpk pL = simd::fma(half_g * hL, hL, qnL * unL);
-        const cpk pR = simd::fma(half_g * hR, hR, qnR * unR);
-        const cpk f2 = half * (pL + pR) - half * smax * (qnR - qnL);
-        const cpk f3 = half * (qnL * utL + qnR * utR) -
-                       half * smax * (qtR - qtL);
-        const cpk sa = pos ? a : -a;
-        ddh = ddh - sa * f1;
-        ddhu = ddhu - sa * (xd ? f2 : f3);
-        ddhv = ddhv - sa * (xd ? f3 : f2);
-    };
-    side.template operator()<0>();
-    side.template operator()<1>();
-    side.template operator()<2>();
-    side.template operator()<3>();
-    side.template operator()<4>();
-    side.template operator()<5>();
-    side.template operator()<6>();
-    side.template operator()<7>();
     for (int l = 0; l < m; ++l) {
         const auto cell = static_cast<std::size_t>(cells[l]);
         A.dh[cell] = ddh[l];
@@ -261,45 +168,56 @@ inline void flux_block_gather(const FluxArgs<S, C>& A,
 }
 
 // --------------------------------------------------------------------------
-// Blocked AMR tile sweep — the unit-stride re-expression of the cell sweep
-// above (DESIGN.md §13). mesh::BlockIndex aggregates same-level leaves
-// into Morton-aligned 8x8 tiles with a one-cell ghost ring and a padded
-// per-position source map; the sweep gathers storage state through the
-// map into dense tiles, runs a per-position PRECOMPUTE pass (one divide +
-// one sqrt per position, the same trade as the distributed row kernels
-// below), then a fused four-face update whose every expression
-// transliterates flux_block's slot arithmetic token for token, faces
-// accumulated in slot order W, E, S, N.
+// Dense tile sweep (DESIGN.md §13). The solver derives Morton-aligned 8x8
+// same-level tiles from its neighbor-slot tables, each with a one-cell
+// ghost ring and a padded per-position source map; the sweep gathers
+// storage state through the map into dense tiles, runs a per-position
+// PRECOMPUTE pass (one divide + one sqrt per position, the same trade as
+// the distributed row kernels below), then a fused four-face update
+// whose every expression transliterates flux_block_gather's slot
+// arithmetic token for token, faces accumulated in slot order W, E, S, N.
 //
-// Bitwise contract with the cell path, per regular cell (all four
-// neighbors in-domain and same-or-coarser level): the cell path evaluates
-// exactly one slot per side with the full face width as area, L/R resolve
-// to the tile's west/east/south/north positions, and skipping the
-// zero-area slots is exact — the accumulators start at +0, a zero area
-// times any finite flux is ±0, and +0 - (±0) is +0, so the empty slots
-// never change a bit. The precomputed quantities reproduce the same bits
-// the cell path computes freshly on each side of each face (max -> if
-// identical per lane; |u| via ternary differs from simd::abs only at -0,
-// which + c > 0 erases; the pressure fma is std::fma, the same correctly
-// rounded operation as simd::fma). Irregular cells are computed by
-// flux_block over fallback runs. W is again only a symbol tag: W == 1
+// Bitwise contract with flux_block_gather, per regular cell (each side
+// holds exactly one neighbor: in-domain and same-or-coarser level): the
+// slot path evaluates exactly one slot per side with the full face width
+// as area, L/R resolve to the tile's west/east/south/north positions, and
+// skipping the zero-area slots is exact — the accumulators start at +0, a
+// zero area times any finite flux is ±0, and +0 - (±0) is +0, so the
+// empty slots never change a bit. The precomputed quantities reproduce
+// the same bits the slot path computes freshly on each side of each face
+// (max -> if identical per lane; |u| via ternary differs from simd::abs
+// only at -0, which + c > 0 erases; the pressure fma is std::fma, the
+// same correctly rounded operation as simd::fma). Irregular cells are
+// computed by flux_block_gather. W is again only a symbol tag: W == 1
 // lives in the no-autovec TU (flux_scalar.cpp), W == native in the
-// -ffp-contract=off solver TU where the annotated loops vectorize.
+// -ffp-contract=off solver TU where the annotated loops vectorize. The
+// loops' `if(simd: W > 1)` clause keeps the W == 1 copies scalar: an
+// `omp simd` loop is vectorized even under -fno-tree-vectorize.
 
-inline constexpr int kTileSize = 8;  // == mesh::kBlockSize; solver.cpp
-inline constexpr int kTilePad = kTileSize + 2;  // static_asserts the match
+inline constexpr int kTileSize = 8;  // a member mask fits one 64-bit word
+inline constexpr int kTilePad = kTileSize + 2;  // + one-cell ghost ring
 inline constexpr int kTileCells = kTileSize * kTileSize;
 inline constexpr int kTilePadCells = kTilePad * kTilePad;
 
-/// One sweepable tile: a mesh block's source map plus its level's full
-/// face widths (regular cells never see a fine sub-face, so the area is a
-/// per-tile broadcast instead of a per-slot table).
+/// Interior tile position (ii, jj) -> index into the padded source map.
+[[nodiscard]] constexpr int tile_padded(int ii, int jj) {
+    return (jj + 1) * kTilePad + (ii + 1);
+}
+
+/// One sweepable tile: its source map plus its level's full face widths
+/// (regular cells never see a fine sub-face, so the area is a per-tile
+/// broadcast instead of a per-slot table). Bit jj * kTileSize + ii of a
+/// mask names interior position (ii, jj).
 template <typename C>
 struct TileBlock {
-    const std::int32_t* src;  ///< kTilePadCells gather map; -1 off-domain
-    std::uint64_t regular;    ///< members the dense sweep computes
-    C wx;                     ///< x-face area = cell_dy(level)
-    C wy;                     ///< y-face area = cell_dx(level)
+    /// kTilePadCells gather map: each member's own index, and at each
+    /// position across a member side that holds exactly one neighbor,
+    /// that neighbor; -1 everywhere else (never read by a regular cell).
+    const std::int32_t* src;
+    std::uint64_t members;  ///< positions holding a leaf of the tile level
+    std::uint64_t regular;  ///< members the dense sweep computes
+    C wx;                   ///< x-face area = cell_dy(level)
+    C wy;                   ///< y-face area = cell_dx(level)
 };
 
 template <typename S, typename C>
@@ -326,8 +244,8 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
     const C one = C(1);
     const C hfloor = C(1e-8);
 
-    // Gather storage state through the source map. Off-domain ring
-    // positions get a benign finite fill no regular cell ever reads.
+    // Gather storage state through the source map. Unmapped positions
+    // get a benign finite fill no regular cell ever reads.
     S th[kTilePadCells];
     S thu[kTilePadCells];
     S thv[kTilePadCells];
@@ -356,7 +274,7 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
     C py[kTilePadCells];  // y pressure flux  fma(g/2 h, h, hv v)
     C mx[kTilePadCells];  // hu v (x-face transverse momentum)
     C my[kTilePadCells];  // hv u (y-face transverse momentum)
-#pragma omp simd
+#pragma omp simd if(simd: W > 1)
     for (int p = 0; p < kTilePadCells; ++p) {
         const C h = static_cast<C>(th[p]);
         const C hc = h > hfloor ? h : hfloor;
@@ -385,7 +303,7 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
     for (int jj = 0; jj < kTileSize; ++jj) {
         const int r = (jj + 1) * kTilePad + 1;
         const int o = jj * kTileSize;
-#pragma omp simd
+#pragma omp simd if(simd: W > 1)
         for (int ii = 0; ii < kTileSize; ++ii) {
             const int p = r + ii;
             C ddh = C(0);
@@ -455,8 +373,8 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
     while (m != 0) {
         const int k = std::countr_zero(m);
         m &= m - 1;
-        const int p = (k / kTileSize + 1) * kTilePad + (k % kTileSize) + 1;
-        const std::int32_t cell = B.src[p];
+        const std::int32_t cell =
+            B.src[tile_padded(k % kTileSize, k / kTileSize)];
         A.dh[cell] = odh[k];
         A.dhu[cell] = odhu[k];
         A.dhv[cell] = odhv[k];
@@ -465,17 +383,18 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
 
 // --------------------------------------------------------------------------
 // Uniform-grid row sweep — the distributed solver's kernel
-// (par/dist_shallow.*). Unlike the AMR sweep above (whose gathers force
+// (par/dist_shallow.*). Unlike the AMR fallback above (whose gathers force
 // the explicit pack form), the distributed rows are pure unit-stride, so
 // the kernels are written as flat `#pragma omp simd` loops of scalar IEEE
-// expressions. The two instruction shapes come from the translation unit,
-// not the source: the W == 1 instantiation lives in the no-autovec TU
-// (flux_scalar.cpp) and stays genuinely scalar, the W == native_lanes<C>
-// instantiation lives in the -ffp-contract=off solver TU where the
-// vectorizer lowers the annotated loop to full-width SIMD. (The width
-// parameter exists to keep the two instantiations distinct symbols — an
-// unparameterized inline function would be merged by the linker and one
-// TU's codegen would silently win.) Every operation is an individually
+// expressions, like the tile kernel. The two instruction shapes come from
+// the translation unit and the width tag: the W == 1 instantiation lives
+// in the no-autovec TU (flux_scalar.cpp) and its `if(simd: W > 1)` loops
+// stay genuinely scalar, the W == native_lanes<C> instantiation lives in
+// the -ffp-contract=off solver TU where the vectorizer lowers the
+// annotated loop to full-width SIMD. (The width parameter also keeps the
+// two instantiations distinct symbols — an unparameterized inline
+// function would be merged by the linker and one TU's codegen would
+// silently win.) Every operation is an individually
 // rounded IEEE op in either shape and contraction is off in both TUs, so
 // scalar and native are bit-identical per cell — same contract as the
 // pack kernels, enforced by tests/bench gates.
@@ -483,8 +402,7 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
 // Rows carry one mirror ghost column per side (h copied, hu negated, hv
 // copied), so every access in the sweep is unit-stride: the center row
 // shifts by ±1 for the x faces and the south/north rows align at the same
-// column for the y faces. No gathers, no per-cell branching — the stride
-// regularity the ROADMAP wants for the later per-block AMR path.
+// column for the y faces. No gathers, no per-cell branching.
 //
 // The step is split into a per-cell PRECOMPUTE pass and a fused
 // FLUX + APPLY pass. The historic per-cell lambda evaluated 1/h, u, v and
@@ -544,7 +462,7 @@ inline C dist_pre_row(const RowPreArgs<S, C>& A) {
     const C half_g = C(0.5) * A.gravity;
     const C hfloor = C(1e-8);
     C ws = C(0);
-#pragma omp simd reduction(max : ws)
+#pragma omp simd reduction(max : ws) if(simd: W > 1)
     for (int i = 0; i < A.n; ++i) {
         const C h = static_cast<C>(A.h[i]);
         // Ternary forms mirror simd::max / simd::abs exactly.
@@ -621,7 +539,7 @@ inline void dist_update_row(const RowUpdateArgs<S, C>& A) {
     const C hfloor = C(1e-8);
     const C dtdx = A.dtdx;
     const C dtdy = A.dtdy;
-#pragma omp simd
+#pragma omp simd if(simd: W > 1)
     for (int i = 1; i <= A.nx; ++i) {
         const C huC = static_cast<C>(A.huC[i]);
         const C hvC = static_cast<C>(A.hvC[i]);

@@ -1,11 +1,13 @@
-// The scalar flux sweep, isolated in its own translation unit so the whole
-// file can be compiled with the auto-vectorizer disabled (see
+// The scalar flux sweeps, isolated in their own translation unit so the
+// whole file can be compiled with the auto-vectorizer disabled (see
 // shallow/CMakeLists.txt). That keeps `--simd=scalar` honest: the W == 1
-// pack instantiation degenerates to plain scalar arithmetic, and nothing
-// here re-vectorizes the cell loop behind its back, so Table III's
-// scalar rows measure true one-lane issue. The arithmetic itself is the
-// same flux_block<> template the native sweep uses — bit-identical per
-// cell, different instruction shape only.
+// pack instantiations degenerate to plain scalar arithmetic, the W == 1
+// `omp simd` loops carry `if(simd: W > 1)` so the pragma cannot re-enable
+// vectorization, and Table III's scalar rows measure true one-lane issue.
+// The arithmetic itself is the same tile_block<> and flux_block_gather<>
+// templates the native sweep drives over the same iteration space (tiles
+// + fallback cell list) — bit-identical per cell, different instruction
+// shape only.
 
 #include "fp/half_policy.hpp"
 #include "shallow/solver.hpp"
@@ -14,35 +16,6 @@ namespace tp::shallow {
 
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::flux_sweep_scalar() {
-    const auto args = flux_args();
-    const auto n = static_cast<std::int64_t>(args.n);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t c = 0; c < n; ++c)
-        detail::flux_block<storage_t, compute_t, 1>(
-            args, static_cast<std::size_t>(c), 1);
-}
-
-// Governed twin at the alternate compute precision, same no-autovec
-// contract: a governor-promoted (or -demoted) scalar sweep must measure
-// true one-lane issue exactly like the static scalar baseline does.
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_alt_scalar() {
-    const auto args = flux_args_alt();
-    const auto n = static_cast<std::int64_t>(args.n);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t c = 0; c < n; ++c)
-        detail::flux_block<storage_t, alt_compute_t, 1>(
-            args, static_cast<std::size_t>(c), 1);
-}
-
-// Blocked (--blocks=on) scalar sweeps: the same tile_block<> and
-// flux_block_gather<> templates the native blocked path drives,
-// instantiated at W == 1 in this no-autovec TU so a blocked scalar run
-// still measures one-lane issue. Iteration space (tiles + fallback cell
-// list) is shared with the native path — only the instruction shape
-// differs.
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_blocked_scalar() {
     const auto targs = tile_args();
     const auto nt = static_cast<std::int64_t>(targs.nblocks);
 #pragma omp parallel for schedule(static)
@@ -57,8 +30,11 @@ void ShallowWaterSolver<Policy>::flux_sweep_blocked_scalar() {
                                                            1);
 }
 
+// Governed twin at the alternate compute precision, same no-autovec
+// contract: a governor-promoted (or -demoted) scalar sweep must measure
+// true one-lane issue exactly like the static scalar baseline does.
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_blocked_alt_scalar() {
+void ShallowWaterSolver<Policy>::flux_sweep_alt_scalar() {
     const auto targs = tile_args_alt();
     const auto nt = static_cast<std::int64_t>(targs.nblocks);
 #pragma omp parallel for schedule(static)
@@ -87,24 +63,6 @@ ShallowWaterSolver<fp::MixedPrecision>::flux_sweep_alt_scalar();
 template void ShallowWaterSolver<fp::FullPrecision>::flux_sweep_alt_scalar();
 template void
 ShallowWaterSolver<fp::HalfStoragePrecision>::flux_sweep_alt_scalar();
-
-template void
-ShallowWaterSolver<fp::MinimumPrecision>::flux_sweep_blocked_scalar();
-template void
-ShallowWaterSolver<fp::MixedPrecision>::flux_sweep_blocked_scalar();
-template void
-ShallowWaterSolver<fp::FullPrecision>::flux_sweep_blocked_scalar();
-template void
-ShallowWaterSolver<fp::HalfStoragePrecision>::flux_sweep_blocked_scalar();
-
-template void
-ShallowWaterSolver<fp::MinimumPrecision>::flux_sweep_blocked_alt_scalar();
-template void
-ShallowWaterSolver<fp::MixedPrecision>::flux_sweep_blocked_alt_scalar();
-template void
-ShallowWaterSolver<fp::FullPrecision>::flux_sweep_blocked_alt_scalar();
-template void
-ShallowWaterSolver<fp::HalfStoragePrecision>::flux_sweep_blocked_alt_scalar();
 
 // The distributed solver's uniform-grid row sweep at W == 1, under the
 // same contract: this TU is the only place the scalar instantiation

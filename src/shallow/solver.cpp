@@ -35,8 +35,8 @@ constexpr std::uint64_t kCflFlopsPerCell = 12;
 // hard-coded per-cell op proxies.
 
 // Double-precision shadow reference for one cell of the Rusanov sweep:
-// the same operation sequence as flux_kernel.hpp's flux_block (slot
-// order, the lone fma, the hfloor clamps), but every intermediate in
+// the same operation sequence as flux_kernel.hpp's flux_block_gather
+// (slot order, the lone fma, the hfloor clamps), but every intermediate in
 // double and the gravity constant unrounded. Against this, the
 // production increments' divergence is exactly the rounding the policy's
 // compute_t introduced (obs/numerics.hpp records it in compute_t ULPs).
@@ -200,7 +200,7 @@ void ShallowWaterSolver<Policy>::resolve_cell_side(std::int32_t c, int base,
 }
 
 // Shared tail of every cache builder: per-level inverse areas, increment
-// buffer sizing, and the level-bucketed iteration space.
+// buffer sizing, compute_dt's level runs, and the flux-sweep tiles.
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
     const std::size_t n = mesh_.num_cells();
@@ -229,10 +229,8 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
     for (std::int64_t c = 0; c < ni; ++c)
         inv[c] = inv_by_level[static_cast<std::size_t>(cell[c].level)];
 
-    // Level-bucketed iteration space: maximal runs of consecutive
-    // same-level cells (the Morton order keeps same-level cells contiguous,
-    // so runs are long), then pack-wide blocks that never straddle a run
-    // boundary. The native sweep parallelizes over blocks; compute_dt
+    // Maximal runs of consecutive same-level cells (the Morton order keeps
+    // same-level cells contiguous, so runs are long): compute_dt
     // broadcasts the per-level spacing per run, keeping its inner loop
     // gather-free. clear() + push_back reuses capacity across rezones.
     level_runs_.clear();
@@ -244,55 +242,115 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
                                cells[c].level});
         c = e;
     }
-    flux_blocks_.clear();
-    for (const detail::LevelRun& run : level_runs_)
-        for (std::int32_t b = run.begin; b < run.end; b += kNativeLanes)
-            flux_blocks_.push_back(
-                {b, std::min<std::int32_t>(kNativeLanes, run.end - b)});
-    // Tile lists derive from the block index the caller just refreshed.
-    if (config_.blocks) rebuild_tile_lists();
+    rebuild_tiles();
     // The alt-precision tables mirror the ones rebuilt above; they are
     // refreshed lazily on the next governed sweep that needs them.
     alt_tables_stale_ = true;
 }
 
-// Rebuild the dense-tile and fallback-cell lists from block_index_. Dense
-// tiles carry the regular members of blocks worth gathering; every other
-// cell — irregular members plus all members of skipped sparse blocks —
-// lands in the sorted fallback list that flux_block_gather walks W cells
-// per pack. Which cells go where is decided purely by topology, so
-// scalar, native, and governed-alt sweeps share one iteration space.
+// Derive the flux sweep's tiles from the slot tables in one pass over the
+// cells. A tile is the set of level-L cells inside one Morton-aligned
+// kTileSize^2 quadrant of level L's index space. Such a quadrant is one
+// contiguous Morton range, so among the level-L cells a tile's members
+// are consecutive, and each level needs one open tile at a time: it
+// closes when a level-L cell lands in a different tile.
+//
+// Each member writes its own index at its padded position and, for each
+// side whose slot pair holds exactly one neighbor (first slot non-zero
+// area, second zero: in-domain and same-or-coarser), that neighbor at the
+// adjacent position. Every other position stays -1. A member whose four
+// sides all hold exactly one neighbor is regular: the tile kernel reads
+// only its own position and those four, which hold exactly the cells its
+// slots name. Dense tiles carry their regular members; every other cell —
+// irregular members plus all members of sparse tiles — lands in the
+// sorted fallback list that flux_block_gather walks W cells per pack.
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::rebuild_tile_lists() {
-    static_assert(detail::kTileSize == mesh::kBlockSize &&
-                  detail::kTilePad == mesh::kBlockPad);
+void ShallowWaterSolver<Policy>::rebuild_tiles() {
+    using detail::kTilePad;
+    using detail::kTilePadCells;
+    using detail::kTileSize;
+    struct OpenTile {
+        std::int32_t bi = 0;
+        std::int32_t bj = 0;
+        std::uint64_t members = 0;  // 0: no tile open at this level
+        std::uint64_t regular = 0;
+        std::array<std::int32_t, kTilePadCells> src{};
+    };
+    // Padded-position step across each side, in slot-pair order W, E, S, N.
+    constexpr std::array<int, 4> kSideStep = {-1, +1, -kTilePad, +kTilePad};
+
     const std::size_t n = mesh_.num_cells();
+    const mesh::Cell* cells = mesh_.cells().data();
+    const std::int32_t* nidx = nbr_idx_.data();
+    const compute_t* narea = nbr_area_.data();
     tile_blocks_.clear();
     tile_blocks_alt_.clear();
+    tile_src_.clear();
     fallback_flag_.assign(n, std::uint8_t(0));
-    for (const mesh::MeshBlock& b : block_index_.blocks()) {
-        const bool dense = std::popcount(b.regular_mask) >= kMinTileRegular;
-        const std::int32_t* src = block_index_.src(b).data();
+    std::array<OpenTile, kMaxSupportedLevel + 1> open;
+
+    const auto close = [&](std::int32_t level) {
+        OpenTile& t = open[static_cast<std::size_t>(level)];
+        const bool dense = std::popcount(t.regular) >= kMinTileRegular;
         if (dense) {
             // The full same-level face widths, cast exactly as the slot
             // tables cast them (alt areas double-cast through compute_t,
-            // matching prepare_alt_tables).
-            const auto wx = static_cast<compute_t>(mesh_.cell_dy(b.level));
-            const auto wy = static_cast<compute_t>(mesh_.cell_dx(b.level));
-            tile_blocks_.push_back({src, b.regular_mask, wx, wy});
-            tile_blocks_alt_.push_back({src, b.regular_mask,
+            // matching prepare_alt_tables). The src pointers are set once
+            // tile_src_ has stopped growing.
+            const auto wx = static_cast<compute_t>(mesh_.cell_dy(level));
+            const auto wy = static_cast<compute_t>(mesh_.cell_dx(level));
+            tile_src_.insert(tile_src_.end(), t.src.begin(), t.src.end());
+            tile_blocks_.push_back({nullptr, t.members, t.regular, wx, wy});
+            tile_blocks_alt_.push_back({nullptr, t.members, t.regular,
                                         static_cast<alt_compute_t>(wx),
                                         static_cast<alt_compute_t>(wy)});
         }
-        std::uint64_t rest =
-            dense ? (b.member_mask & ~b.regular_mask) : b.member_mask;
+        std::uint64_t rest = dense ? (t.members & ~t.regular) : t.members;
         while (rest != 0) {
             const int k = std::countr_zero(rest);
             rest &= rest - 1;
-            const int p = mesh::block_padded(k % mesh::kBlockSize,
-                                             k / mesh::kBlockSize);
-            fallback_flag_[static_cast<std::size_t>(src[p])] = 1;
+            const std::int32_t c = t.src[static_cast<std::size_t>(
+                detail::tile_padded(k % kTileSize, k / kTileSize))];
+            fallback_flag_[static_cast<std::size_t>(c)] = 1;
         }
+        t.members = 0;
+    };
+
+    for (std::size_t c = 0; c < n; ++c) {
+        const mesh::Cell cell = cells[c];
+        OpenTile& t = open[static_cast<std::size_t>(cell.level)];
+        const std::int32_t bi = cell.i / kTileSize;
+        const std::int32_t bj = cell.j / kTileSize;
+        if (t.members != 0 && (bi != t.bi || bj != t.bj)) close(cell.level);
+        if (t.members == 0) {
+            t.bi = bi;
+            t.bj = bj;
+            t.regular = 0;
+            t.src.fill(-1);
+        }
+        const int ii = cell.i - bi * kTileSize;
+        const int jj = cell.j - bj * kTileSize;
+        const int k = jj * kTileSize + ii;
+        const int p = detail::tile_padded(ii, jj);
+        t.members |= std::uint64_t{1} << k;
+        t.src[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(c);
+        bool regular = true;
+        for (int side = 0; side < 4; ++side) {
+            const std::size_t s0 = static_cast<std::size_t>(2 * side) * n + c;
+            if (narea[s0] != compute_t(0) && narea[s0 + n] == compute_t(0))
+                t.src[static_cast<std::size_t>(p + kSideStep[side])] =
+                    nidx[s0];
+            else
+                regular = false;
+        }
+        if (regular) t.regular |= std::uint64_t{1} << k;
+    }
+    for (std::int32_t l = 0; l <= kMaxSupportedLevel; ++l)
+        if (open[static_cast<std::size_t>(l)].members != 0) close(l);
+    for (std::size_t b = 0; b < tile_blocks_.size(); ++b) {
+        const std::int32_t* src = tile_src_.data() + b * kTilePadCells;
+        tile_blocks_[b].src = src;
+        tile_blocks_alt_[b].src = src;
     }
     fallback_cells_.clear();
     for (std::size_t c = 0; c < n; ++c)
@@ -322,13 +380,14 @@ void ShallowWaterSolver<Policy>::rebuild_topology_caches() {
                   static_cast<std::size_t>(c)] = area[s];
         }
     }
-    if (config_.blocks) block_index_.rebuild(mesh_);
     rebuild_iteration_space();
 }
 
 template <fp::PrecisionPolicy Policy>
 std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
     const mesh::RemapPlan& plan) {
+    // Nothing moved, so every cache is already exact for the new mesh.
+    if (plan.is_identity()) return 0;
     const std::size_t n = plan.size();
     const std::size_t old_n = nbr_idx_.size() / kSlots;
 
@@ -442,7 +501,6 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
     }
     nbr_idx_.swap(nbr_idx_back_);
     nbr_area_.swap(nbr_area_back_);
-    if (config_.blocks) block_index_.apply_remap(mesh_, plan);
     rebuild_iteration_space();
     return static_cast<std::size_t>(resolved);
 }
@@ -525,6 +583,7 @@ void ShallowWaterSolver<Policy>::initialize_dam_break(const DamBreak& ic) {
     // level, re-evaluating the analytic state on the refined mesh so the
     // initial column edge is resolved at the finest level (CLAMR's initial
     // rezone does the same).
+    bool changed = false;
     for (std::int32_t pass = 0; pass < config_.geom.max_level; ++pass) {
         // Face-scan flags here: the neighbor-slot tables are rebuilt only
         // once after the whole pre-refine loop, so they are stale inside
@@ -533,7 +592,7 @@ void ShallowWaterSolver<Policy>::initialize_dam_break(const DamBreak& ic) {
         // Never coarsen during initialization.
         for (auto& f : flags_scratch_)
             if (f == mesh::kCoarsenFlag) f = mesh::kKeepFlag;
-        mesh_.adapt(flags_scratch_);
+        changed |= !mesh_.adapt(flags_scratch_).is_identity();
         // resize, not assign: apply_ic overwrites every cell, so zero-fill
         // would be pure churn, and the vectors keep their capacity across
         // the warm-up passes instead of reallocating on each one.
@@ -542,7 +601,9 @@ void ShallowWaterSolver<Policy>::initialize_dam_break(const DamBreak& ic) {
         hv_.resize(mesh_.num_cells());
         apply_ic(ic);
     }
-    rebuild_topology_caches();
+    // The caches always match the mesh they were last built for, so only
+    // a pre-refine pass that changed the mesh makes them stale.
+    if (changed) rebuild_topology_caches();
     time_ = 0.0;
     step_count_ = 0;
 }
@@ -622,6 +683,8 @@ void ShallowWaterSolver<Policy>::compute_refinement_flags_facescan(
 
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::remap_state(const mesh::RemapPlan& plan) {
+    // Nothing moved: the state already sits at its new indices.
+    if (plan.is_identity()) return;
     // Double-buffer: write into the back arrays and swap. The backs keep
     // their capacity across rezones, so steady-state remapping allocates
     // nothing.
@@ -848,23 +911,6 @@ ShallowWaterSolver<Policy>::flux_args() {
             static_cast<compute_t>(config_.gravity)};
 }
 
-// Each block writes only its own cells' increments, so the sweep threads
-// with no synchronization, and the per-cell arithmetic is independent of
-// which thread runs the block — the result is identical at any team size.
-// The scalar twin (flux_sweep_scalar) lives in flux_scalar.cpp, compiled
-// with the auto-vectorizer off; it instantiates the same flux_block<> at
-// W = 1, so the two paths differ only in instruction shape.
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_native() {
-    const auto args = flux_args();
-    const FluxBlock* blocks = flux_blocks_.data();
-    const auto nb = static_cast<std::int64_t>(flux_blocks_.size());
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nb; ++b)
-        detail::flux_block<storage_t, compute_t, kNativeLanes>(
-            args, static_cast<std::size_t>(blocks[b].begin), blocks[b].len);
-}
-
 template <fp::PrecisionPolicy Policy>
 auto ShallowWaterSolver<Policy>::tile_args()
     -> detail::TileSweepArgs<storage_t, compute_t> {
@@ -874,14 +920,16 @@ auto ShallowWaterSolver<Policy>::tile_args()
             static_cast<compute_t>(config_.gravity)};
 }
 
-// Blocked sweep (--blocks=on): dense unit-stride tiles for the regular
-// cells, flux_block over the fallback runs for the rest — together they
-// cover every cell exactly once, with the same store-only increment
-// writes as the cell sweeps, so the boundary closure, cell update, shadow
-// hooks, and governor monitor are shared untouched. The scalar twin
-// (flux_sweep_blocked_scalar) lives in flux_scalar.cpp.
+// The flux sweep: dense unit-stride tiles for the regular cells,
+// flux_block_gather over the fallback list for the rest. Together they
+// cover every cell exactly once, and each tile or pack writes only its own
+// cells' increments, so both loops thread with no synchronization and the
+// result is identical at any team size. The scalar twin
+// (flux_sweep_scalar) lives in flux_scalar.cpp, compiled with the
+// auto-vectorizer off; it instantiates the same kernels at W = 1, so the
+// two paths differ only in instruction shape.
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_blocked_native() {
+void ShallowWaterSolver<Policy>::flux_sweep_native() {
     const auto targs = tile_args();
     const auto nt = static_cast<std::int64_t>(targs.nblocks);
 #pragma omp parallel for schedule(static)
@@ -899,7 +947,7 @@ void ShallowWaterSolver<Policy>::flux_sweep_blocked_native() {
 }
 
 // --- governed flux path (fp/governor.hpp) ---------------------------------
-// The same width-templated flux_block, instantiated at the *other* compute
+// The same width-templated kernels, instantiated at the *other* compute
 // precision. Increments land in the _alt buffers and are folded back into
 // dh_/dhu_/dhv_ with one cast per cell, so the boundary closure and the
 // cell update are shared with the static path. A detached or disabled
@@ -928,7 +976,7 @@ template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::prepare_alt_tables() {
     if (!alt_tables_stale_) return;
     const std::size_t n = mesh_.num_cells();
-    // flux_block stores (not accumulates) each cell's increments, so the
+    // The sweep stores (not accumulates) each cell's increments, so the
     // buffers need sizing only — every entry is overwritten by the sweep.
     dh_alt_.resize(n);
     dhu_alt_.resize(n);
@@ -944,13 +992,6 @@ void ShallowWaterSolver<Policy>::prepare_alt_tables() {
 #pragma omp parallel for simd schedule(static)
     for (std::int64_t i = 0; i < na; ++i)
         dst[i] = static_cast<alt_compute_t>(src[i]);
-    // Pack blocks at the alt lattice's native width (float sweeps get
-    // twice the lanes of double sweeps, same as the static paths).
-    flux_blocks_alt_.clear();
-    for (const detail::LevelRun& run : level_runs_)
-        for (std::int32_t b = run.begin; b < run.end; b += kAltLanes)
-            flux_blocks_alt_.push_back(
-                {b, std::min<std::int32_t>(kAltLanes, run.end - b)});
     alt_tables_stale_ = false;
 }
 
@@ -972,17 +1013,6 @@ void ShallowWaterSolver<Policy>::fold_alt_increments() {
 }
 
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_alt_native() {
-    const auto args = flux_args_alt();
-    const FluxBlock* blocks = flux_blocks_alt_.data();
-    const auto nb = static_cast<std::int64_t>(flux_blocks_alt_.size());
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nb; ++b)
-        detail::flux_block<storage_t, alt_compute_t, kAltLanes>(
-            args, static_cast<std::size_t>(blocks[b].begin), blocks[b].len);
-}
-
-template <fp::PrecisionPolicy Policy>
 auto ShallowWaterSolver<Policy>::tile_args_alt()
     -> detail::TileSweepArgs<storage_t, alt_compute_t> {
     return {h_.data(),      hu_.data(),      hv_.data(),
@@ -992,7 +1022,7 @@ auto ShallowWaterSolver<Policy>::tile_args_alt()
 }
 
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_blocked_alt_native() {
+void ShallowWaterSolver<Policy>::flux_sweep_alt_native() {
     const auto targs = tile_args_alt();
     const auto nt = static_cast<std::int64_t>(targs.nblocks);
 #pragma omp parallel for schedule(static)
@@ -1281,32 +1311,19 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         governed && (governor_->reduced(gov_flux_id_) !=
                      std::is_same_v<compute_t, float>);
     {
-        // The sweep alone is its own phase ("flux_sweep") so the
-        // blocked-vs-cell speedup is measurable without the boundary
-        // closure, shadow hooks, and update diluting it.
+        // The sweep alone is its own phase ("flux_sweep") so its cost is
+        // measurable without the boundary closure, shadow hooks, and
+        // update diluting it.
         obs::Phase sweep("clamr.flux_sweep", timers_, "flux_sweep",
                          "finite_diff");
-        const bool blocked = config_.blocks;
         if (use_alt) {
             prepare_alt_tables();
-            if (blocked) {
-                if (native) {
-                    flux_sweep_blocked_alt_native();
-                } else {
-                    flux_sweep_blocked_alt_scalar();
-                }
-            } else if (native) {
+            if (native) {
                 flux_sweep_alt_native();
             } else {
                 flux_sweep_alt_scalar();
             }
             fold_alt_increments();
-        } else if (blocked) {
-            if (native) {
-                flux_sweep_blocked_native();
-            } else {
-                flux_sweep_blocked_scalar();
-            }
         } else if (native) {
             flux_sweep_native();
         } else {
@@ -1315,8 +1332,8 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         sweep.stop();
         // Shadow the pure sweep increments before the boundary closure
         // touches them — every sampled cell's dh/dhu/dhv is then exactly
-        // one flux_block evaluation, which is what the double reference
-        // replicates.
+        // one slot-path evaluation (tile cells reproduce its bits), which
+        // is what the double reference replicates.
         if (obs::shadow_kernel_active("clamr.flux_sweep"))
             shadow_profile_flux_sweep();
         if (governed) governed_monitor_flux();

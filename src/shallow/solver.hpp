@@ -16,12 +16,14 @@
 // itself — followed by the conservative cell update. Both adjacent cells
 // evaluate the identical flux expression for a shared face, so the scheme
 // stays exactly conservative while the loop carries no scatter
-// dependencies. The sweep is one width-templated pack kernel
-// (flux_kernel.hpp): the W == 1 instantiation, driven from a translation
-// unit with the auto-vectorizer disabled, is the paper's scalar baseline;
-// the W == native_lanes instantiation is the vector path. The two are
-// bit-identical per cell, selected at runtime by Config::simd
-// (Table III's vectorization study from one binary).
+// dependencies. The sweep runs over dense 8x8 same-level tiles derived
+// from the neighbor-slot tables, with the cells the tiles cannot take
+// gathered through the slot tables (flux_kernel.hpp, DESIGN.md §13).
+// Both kernels are width-templated: the W == 1 instantiations, driven
+// from a translation unit with the auto-vectorizer disabled, are the
+// paper's scalar baseline; the W == native_lanes instantiations are the
+// vector path. The two are bit-identical per cell, selected at runtime by
+// Config::simd (Table III's vectorization study from one binary).
 
 #include <cstdint>
 #include <fstream>
@@ -36,7 +38,6 @@
 #include "fp/precision.hpp"
 #include "io/checkpoint.hpp"
 #include "mesh/amr_mesh.hpp"
-#include "mesh/block_tree.hpp"
 #include "perf/counters.hpp"
 #include "shallow/config.hpp"
 #include "shallow/flux_kernel.hpp"
@@ -95,7 +96,7 @@ public:
     /// float-compute policy can be promoted to a double flux sweep mid-run
     /// and a double-compute policy can be demoted to float. Storage
     /// precision never changes — only the kernel-local arithmetic does, so
-    /// switching is just dispatching the other flux_block instantiation.
+    /// switching is just dispatching the other kernel instantiations.
     using alt_compute_t =
         std::conditional_t<std::is_same_v<compute_t, float>, double, float>;
     static constexpr int kAltLanes = simd::native_lanes<alt_compute_t>;
@@ -182,20 +183,15 @@ public:
         return timers_;
     }
 
-    /// Same-level Morton runs the level-bucketed sweeps iterate (rebuilt on
-    /// every topology change; exposed for the SIMD binning tests).
+    /// Same-level Morton runs compute_dt iterates (rebuilt on every
+    /// topology change; exposed for the SIMD binning tests).
     [[nodiscard]] const std::vector<detail::LevelRun>& level_runs() const {
         return level_runs_;
     }
 
-    /// Block index driving the --blocks=on tile sweep (empty while blocks
-    /// are off). Exposed for the block-lifecycle tests.
-    [[nodiscard]] const mesh::BlockIndex& block_index() const {
-        return block_index_;
-    }
-    /// Dense tiles the blocked sweep computes, plus the fallback cell
-    /// list covering every cell the tiles leave irregular. Exposed for
-    /// tests.
+    /// Dense tiles the flux sweep computes, plus the sorted fallback cell
+    /// list covering every cell the tiles leave to the slot tables.
+    /// Rebuilt on every topology change; exposed for tests.
     [[nodiscard]] const std::vector<detail::TileBlock<compute_t>>&
     tile_blocks() const {
         return tile_blocks_;
@@ -244,13 +240,6 @@ public:
     }
 
 private:
-    /// A W-wide (or tail) slice of one level run — the unit the native
-    /// sweep parallelizes over. Blocks never straddle a run boundary.
-    struct FluxBlock {
-        std::int32_t begin;
-        std::int32_t len;  // 1 <= len <= kNativeLanes
-    };
-
     void apply_ic(const DamBreak& ic);
     /// Scatter-free threaded flags: each cell takes the max relative
     /// height jump over its own neighbor slots (every interior face
@@ -277,38 +266,33 @@ private:
     /// through the copy-span prefix-offset map, resolve only cells whose
     /// neighborhood changed. Returns the number of cells resolved.
     std::size_t update_topology_caches(const mesh::RemapPlan& plan);
-    /// Rebuild level_runs_/flux_blocks_/inv_area_ and size the increment
+    /// Rebuild level_runs_/inv_area_/the tiles and size the increment
     /// buffers for the current mesh (shared tail of every cache builder).
     void rebuild_iteration_space();
+    /// Derive tile_blocks_/fallback_cells_ from the slot tables in one
+    /// pass over the cells (part of rebuild_iteration_space).
+    void rebuild_tiles();
     [[nodiscard]] double compute_dt();
     void finite_diff(double dt);
     [[nodiscard]] detail::FluxArgs<storage_t, compute_t> flux_args();
-    void flux_sweep_native();
-    // Defined in flux_scalar.cpp, a TU compiled with the auto-vectorizer
-    // off, so the W == 1 path measures true scalar issue.
-    void flux_sweep_scalar();
-    /// Rebuild tile_blocks_/fallback_cells_ from block_index_ — part of
-    /// every topology-cache refresh while blocks are on.
-    void rebuild_tile_lists();
     [[nodiscard]] detail::TileSweepArgs<storage_t, compute_t> tile_args();
-    [[nodiscard]] detail::TileSweepArgs<storage_t, alt_compute_t>
-    tile_args_alt();
-    // Blocked (--blocks=on) sweeps: dense tiles + flux_block_gather over
-    // the fallback cells; bit-identical to the cell sweeps per policy.
-    // Scalar variants live in flux_scalar.cpp (no-autovec TU).
-    void flux_sweep_blocked_native();
-    void flux_sweep_blocked_scalar();
-    void flux_sweep_blocked_alt_native();
-    void flux_sweep_blocked_alt_scalar();
+    // The flux sweep: dense tiles + flux_block_gather over the fallback
+    // cells. The scalar variants live in flux_scalar.cpp, a TU compiled
+    // with the auto-vectorizer off, so the W == 1 path measures true
+    // scalar issue.
+    void flux_sweep_native();
+    void flux_sweep_scalar();
     // Governed flux path: the same sweep with kernel-local arithmetic in
     // alt_compute_t. Increments land in the _alt buffers and are folded
     // back into dh_/dhu_/dhv_ (one cast per cell), so boundary_fluxes and
     // apply_update stay untouched.
     [[nodiscard]] detail::FluxArgs<storage_t, alt_compute_t> flux_args_alt();
+    [[nodiscard]] detail::TileSweepArgs<storage_t, alt_compute_t>
+    tile_args_alt();
     void flux_sweep_alt_native();
     void flux_sweep_alt_scalar();  // flux_scalar.cpp (no-autovec TU)
-    /// Lazily (re)build the alt-precision tables — neighbor areas cast to
-    /// alt_compute_t and kAltLanes-wide blocks — after a topology change.
+    /// Lazily (re)build the alt-precision tables — increment buffers and
+    /// neighbor areas cast to alt_compute_t — after a topology change.
     void prepare_alt_tables();
     void fold_alt_increments();
     /// Governor telemetry: observe a strided sample of flux increments on
@@ -354,32 +338,29 @@ private:
     std::vector<compute_t> nbr_area_back_;
     std::vector<std::int32_t> old_to_new_;
     std::vector<std::uint8_t> slot_dirty_;  // per-cell "needs resolve" flag
-    // Level-bucketed iteration space (rebuilt with the neighbor tables).
+    // Same-level runs for compute_dt (rebuilt with the neighbor tables).
     std::vector<detail::LevelRun> level_runs_;
-    std::vector<FluxBlock> flux_blocks_;
-    // Blocked-sweep state (--blocks=on; all empty otherwise): the mesh
-    // block index, the dense tiles the sweep computes (compute_t and
-    // governed-alt area variants), and the sorted list of cells the
-    // tiles leave to the flux_block_gather fallback (packed W to a
-    // gather, so scattered singletons cost ~1/W of a pack each instead
-    // of a whole masked pack per run). A tile with fewer than
-    // kMinTileRegular dense cells is not worth gathering, so all its
+    // Flux-sweep iteration space (rebuilt with the neighbor tables): the
+    // dense tiles (compute_t and governed-alt area variants) over their
+    // padded source maps, and the sorted list of cells the tiles leave to
+    // the flux_block_gather fallback (packed W to a gather, so scattered
+    // singletons cost ~1/W of a pack each). A tile with fewer than
+    // kMinTileRegular regular cells is not worth gathering, so all its
     // members join the fallback instead — a topology-only decision, so
     // every simd/alt variant sees the same iteration space
     // (kMinTileRegular, declared with the accessors above).
-    mesh::BlockIndex block_index_;
     std::vector<detail::TileBlock<compute_t>> tile_blocks_;
     std::vector<detail::TileBlock<alt_compute_t>> tile_blocks_alt_;
+    std::vector<std::int32_t> tile_src_;  // kTilePadCells per dense tile
     std::vector<std::int32_t> fallback_cells_;
     std::vector<std::uint8_t> fallback_flag_;
-    // Governed-path state: alt-precision increment buffers, neighbor areas
-    // and pack blocks, built lazily on the first governed step after a
-    // topology change. Empty whenever no enabled governor is attached.
+    // Governed-path state: alt-precision increment buffers and neighbor
+    // areas, built lazily on the first governed step after a topology
+    // change. Empty whenever no enabled governor is attached.
     fp::PrecisionGovernor* governor_ = nullptr;
     int gov_flux_id_ = -1;
     std::vector<alt_compute_t> dh_alt_, dhu_alt_, dhv_alt_;
     std::vector<alt_compute_t> nbr_area_alt_;
-    std::vector<FluxBlock> flux_blocks_alt_;
     bool alt_tables_stale_ = true;
     std::vector<compute_t> cfl_buf_;       // per-cell dt candidates
     std::vector<std::int8_t> flags_scratch_;  // refinement flags, reused

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "shallow/config.hpp"
 #include "util/threads.hpp"
 
 namespace tp::util {
@@ -201,19 +200,6 @@ void add_simd_option(ArgParser& args) {
 
 simd::Mode apply_simd_option(const ArgParser& args) {
     return simd::parse_mode(args.get_string("simd"));
-}
-
-void add_blocks_option(ArgParser& args) {
-    args.add_option("blocks",
-                    "Flux sweep iteration space: off|on. When on, the "
-                    "sweep runs over dense SoA mesh-block tiles "
-                    "(bit-identical to the per-cell path; off leaves the "
-                    "cell path untouched)",
-                    "off");
-}
-
-bool apply_blocks_option(const ArgParser& args) {
-    return shallow::parse_blocks_mode(args.get_string("blocks"));
 }
 
 void add_checkpoint_options(ArgParser& args) {

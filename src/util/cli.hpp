@@ -91,14 +91,6 @@ void add_simd_option(ArgParser& args);
 /// Parse the `--simd` value; throws std::invalid_argument on junk.
 [[nodiscard]] simd::Mode apply_simd_option(const ArgParser& args);
 
-/// Register the standard `--blocks on|off` option selecting whether the
-/// flux sweep runs over dense SoA mesh-block tiles (bit-identical
-/// solutions; `off` preserves the per-cell path untouched).
-void add_blocks_option(ArgParser& args);
-
-/// Parse the `--blocks` value; throws std::invalid_argument on junk.
-[[nodiscard]] bool apply_blocks_option(const ArgParser& args);
-
 /// Register the standard checkpoint options: `--checkpoint <path>` (empty
 /// disables), `--checkpoint-interval <steps>` (0 = final state only),
 /// `--checkpoint-compress off|drift|<bits>` (format v1 vs error-bounded

@@ -1,9 +1,8 @@
-// Block-structured-AMR contracts (DESIGN.md §13) that need their own
-// binary: the zero-steady-state-allocation guarantee of the blocked flux
-// sweep is checked with a global operator-new counter (counters can't
-// share a process with test_dist's), plus the blocked-vs-cell bitwise
-// matrix, the BlockIndex lifecycle across rezones, and the
-// fill-mask/fallback partition invariant.
+// Tiled-flux-sweep contracts (DESIGN.md §13) that need their own binary:
+// the zero-steady-state-allocation guarantee of the flux sweep is checked
+// with a global operator-new counter (counters can't share a process with
+// test_dist's), plus the tile fill-mask/source-map/fallback partition
+// invariant. The sweep's bits are pinned by Golden.ShallowCheckpointDigests.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +10,9 @@
 #include <bit>
 #include <cstdlib>
 #include <new>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "fp/half_policy.hpp"
-#include "mesh/block_tree.hpp"
 #include "shallow/solver.hpp"
 
 using namespace tp;
@@ -39,170 +35,115 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-tsh::Config amr_config(int n, int levels, simd::Mode mode, bool blocks,
-                       int rezone_interval = 4) {
+tsh::Config amr_config(int n, int levels, int rezone_interval) {
     tsh::Config cfg;
     cfg.geom = {0.0, 0.0, 100.0, 100.0, n, n, levels};
-    cfg.simd = mode;
-    cfg.blocks = blocks;
+    cfg.simd = simd::Mode::Native;
     cfg.rezone_interval = rezone_interval;
     return cfg;
 }
 
-template <typename Policy>
-std::string checkpoint_after(const tsh::Config& cfg, int steps) {
-    tsh::ShallowWaterSolver<Policy> s(cfg);
-    s.initialize_dam_break({});
-    s.run(steps);
-    std::ostringstream os(std::ios::binary);
-    s.write_checkpoint(os);
-    return std::move(os).str();
-}
+// ------------------------------------------------------ tile invariants
 
-// --------------------------------------------- blocked-vs-cell bitwise
-
-// The tile sweep groups cells into dense unit-stride blocks and the
-// fallback list into gathered packs, but every lane still evaluates the
-// identical per-cell flux expression — so for every policy, SIMD shape,
-// and grid (rezoning throughout), the checkpoint must match the cell
-// path's to the last bit.
-template <typename Policy>
-void blocked_matches_cell_matrix() {
-    for (const auto mode : {simd::Mode::Scalar, simd::Mode::Native}) {
-        for (const int grid : {12, 16, 24}) {
-            const int levels = grid <= 16 ? 3 : 2;
-            const int steps = 30;
-            const auto cell = checkpoint_after<Policy>(
-                amr_config(grid, levels, mode, false), steps);
-            const auto blocked = checkpoint_after<Policy>(
-                amr_config(grid, levels, mode, true), steps);
-            EXPECT_EQ(blocked, cell)
-                << "grid " << grid << ", native="
-                << (mode == simd::Mode::Native);
-        }
-    }
-}
-
-TEST(BlockedSweepBitwise, MinimumPrecision) {
-    blocked_matches_cell_matrix<fp::MinimumPrecision>();
-}
-TEST(BlockedSweepBitwise, MixedPrecision) {
-    blocked_matches_cell_matrix<fp::MixedPrecision>();
-}
-TEST(BlockedSweepBitwise, FullPrecision) {
-    blocked_matches_cell_matrix<fp::FullPrecision>();
-}
-TEST(BlockedSweepBitwise, HalfStoragePrecision) {
-    blocked_matches_cell_matrix<fp::HalfStoragePrecision>();
-}
-
-// ------------------------------------------------- block index lifecycle
-
-// After any run's worth of incremental apply_remap updates, the index
-// must be element-wise identical to a from-scratch rebuild — and the
-// incremental path must actually be incremental (some blocks translated,
-// not all rebuilt).
-TEST(BlockIndex, StaysConsistentAcrossRezones) {
-    auto cfg = amr_config(24, 3, simd::Mode::Native, true,
-                          /*rezone_interval=*/2);
-    tsh::ShallowWaterSolver<fp::MixedPrecision> s(cfg);
-    s.initialize_dam_break({});
-    s.run(40);
-    std::string why;
-    EXPECT_TRUE(s.block_index().consistent_with(s.mesh(), &why)) << why;
-    const auto& st = s.block_index().stats();
-    EXPECT_GT(st.remaps, 0u);
-    EXPECT_GT(st.blocks_translated, 0u);
-}
-
-// Fill-mask correctness after rezones: member bits name exactly the
-// leaves at the block's level, regular bits are members whose four side
-// neighbors are in-domain and same-or-coarser, and the solver-side tile
-// list plus fallback cells partition the mesh (every cell computed
-// exactly once per sweep).
-TEST(BlockIndex, MasksAndFallbackPartitionTheMesh) {
-    auto cfg = amr_config(16, 3, simd::Mode::Native, true,
-                          /*rezone_interval=*/3);
-    tsh::ShallowWaterSolver<fp::FullPrecision> s(cfg);
-    s.initialize_dam_break({});
-    s.run(25);
-
+// Tile correctness on a 12^2 grid, whose level-0 tiles run off the domain
+// edge: member bits name exactly the leaves at the tile's level, each
+// member's source is that leaf, each regular member's four side positions
+// hold the in-domain, same-or-coarser leaf covering them, and the tiles'
+// regular members plus the fallback cells partition the mesh (every cell
+// computed exactly once per sweep). Returns whether some dense tile runs
+// off the domain.
+template <typename Solver>
+bool check_tiles(const Solver& s) {
+    using tsh::detail::kTilePad;
+    using tsh::detail::kTileSize;
+    using tsh::detail::tile_padded;
     const auto& mesh = s.mesh();
-    const auto& index = s.block_index();
-    for (const auto& b : index.blocks()) {
-        const auto src = index.src(b);
-        EXPECT_EQ(std::popcount(b.member_mask), b.members);
-        EXPECT_EQ(b.regular_mask & ~b.member_mask, 0u);
-        for (int jj = 0; jj < mesh::kBlockSize; ++jj) {
-            for (int ii = 0; ii < mesh::kBlockSize; ++ii) {
-                const std::int32_t i = b.bi * mesh::kBlockSize + ii;
-                const std::int32_t j = b.bj * mesh::kBlockSize + jj;
-                const auto leaf = mesh.leaf_index(b.level, i, j);
-                const bool member =
-                    (b.member_mask >> mesh::block_bit(ii, jj)) & 1u;
+    const auto& cells = mesh.cells();
+    const auto& geom = mesh.geometry();
+    EXPECT_FALSE(s.tile_blocks().empty());
+    std::vector<int> covered(mesh.num_cells(), 0);
+    bool straddles_edge = false;
+    for (const auto& t : s.tile_blocks()) {
+        EXPECT_EQ(t.regular & ~t.members, 0u);
+        EXPECT_GE(std::popcount(t.regular), Solver::kMinTileRegular);
+        // The tile's level and coordinates, read off its first member.
+        const int k0 = std::countr_zero(t.members);
+        const mesh::Cell& first = cells[static_cast<std::size_t>(
+            t.src[tile_padded(k0 % kTileSize, k0 / kTileSize)])];
+        const std::int32_t level = first.level;
+        const std::int32_t i0 = first.i / kTileSize * kTileSize;
+        const std::int32_t j0 = first.j / kTileSize * kTileSize;
+        const std::int32_t nx = geom.coarse_nx << level;
+        const std::int32_t ny = geom.coarse_ny << level;
+        straddles_edge |= i0 + kTileSize > nx || j0 + kTileSize > ny;
+        for (int jj = 0; jj < kTileSize; ++jj) {
+            for (int ii = 0; ii < kTileSize; ++ii) {
+                const int k = jj * kTileSize + ii;
+                const int p = tile_padded(ii, jj);
+                const std::int32_t i = i0 + ii;
+                const std::int32_t j = j0 + jj;
+                const auto leaf = mesh.leaf_index(level, i, j);
+                const bool member = (t.members >> k) & 1u;
                 EXPECT_EQ(member, leaf >= 0)
-                    << "level " << b.level << " (" << i << ", " << j << ")";
+                    << "level " << level << " (" << i << ", " << j << ")";
                 if (member) {
-                    EXPECT_EQ(src[static_cast<std::size_t>(
-                                  mesh::block_padded(ii, jj))],
-                              leaf);
+                    EXPECT_EQ(t.src[p], leaf);
                 }
-                if ((b.regular_mask >> mesh::block_bit(ii, jj)) & 1u) {
-                    // Four side neighbors covered by same-or-coarser
-                    // in-domain leaves, per the padded source map.
-                    const int p = mesh::block_padded(ii, jj);
-                    for (const int off : {-1, +1, -mesh::kBlockPad,
-                                          +mesh::kBlockPad}) {
-                        const auto n = src[static_cast<std::size_t>(p + off)];
-                        ASSERT_GE(n, 0);
-                        EXPECT_LE(mesh.cells()[static_cast<std::size_t>(n)]
-                                      .level,
-                                  b.level);
-                    }
+                if (((t.regular >> k) & 1u) == 0) continue;
+                // Padded-position step and index offset per side W, E, S, N.
+                const int sides[4][3] = {{-1, -1, 0},
+                                         {+1, +1, 0},
+                                         {-kTilePad, 0, -1},
+                                         {+kTilePad, 0, +1}};
+                for (const auto& side : sides) {
+                    const std::int32_t ni = i + side[1];
+                    const std::int32_t nj = j + side[2];
+                    EXPECT_TRUE(ni >= 0 && ni < nx && nj >= 0 && nj < ny);
+                    if (ni < 0 || ni >= nx || nj < 0 || nj >= ny) continue;
+                    const auto n = t.src[p + side[0]];
+                    EXPECT_EQ(n, mesh.covering_leaf(level, ni, nj));
+                    if (n < 0) continue;
+                    EXPECT_LE(cells[static_cast<std::size_t>(n)].level,
+                              level);
                 }
+                ++covered[static_cast<std::size_t>(leaf)];
             }
         }
     }
-
-    // Partition: dense-tile regular members plus fallback cells cover
-    // every cell exactly once.
-    std::vector<int> covered(mesh.num_cells(), 0);
-    std::size_t tile = 0;
-    for (const auto& b : index.blocks()) {
-        const bool dense =
-            std::popcount(b.regular_mask) >=
-            tsh::ShallowWaterSolver<fp::FullPrecision>::kMinTileRegular;
-        if (!dense) continue;
-        ASSERT_LT(tile, s.tile_blocks().size());
-        const auto& t = s.tile_blocks()[tile++];
-        EXPECT_EQ(t.regular, b.regular_mask);
-        for (int jj = 0; jj < mesh::kBlockSize; ++jj)
-            for (int ii = 0; ii < mesh::kBlockSize; ++ii)
-                if ((t.regular >> mesh::block_bit(ii, jj)) & 1u)
-                    ++covered[static_cast<std::size_t>(
-                        t.src[mesh::block_padded(ii, jj)])];
-    }
-    EXPECT_EQ(tile, s.tile_blocks().size());
     for (const auto c : s.fallback_cells())
         ++covered[static_cast<std::size_t>(c)];
     for (std::size_t c = 0; c < covered.size(); ++c)
         EXPECT_EQ(covered[c], 1) << "cell " << c;
+    return straddles_edge;
+}
+
+// After rezones on a refined mesh (level-0 tiles thin out there and go
+// to the fallback), and on a uniform one, where the edge tiles are dense.
+TEST(FluxTiles, MasksAndFallbackPartitionTheMesh) {
+    bool straddles_edge = false;
+    for (const int levels : {3, 0}) {
+        SCOPED_TRACE("max_level " + std::to_string(levels));
+        tsh::ShallowWaterSolver<fp::FullPrecision> s(
+            amr_config(12, levels, /*rezone_interval=*/3));
+        s.initialize_dam_break({});
+        s.run(25);
+        straddles_edge |= check_tiles(s);
+    }
+    EXPECT_TRUE(straddles_edge) << "no dense tile runs off the domain";
 }
 
 // --------------------------------------------- zero steady-state allocs
 
-// With rezoning disabled the blocked sweep's steady state — gather,
-// tile kernels, fallback packs, scatter — must perform zero heap
-// allocations, exactly like the cell path it replaces.
+// With rezoning disabled the flux sweep's steady state — gather, tile
+// kernels, fallback packs, scatter — must perform zero heap allocations.
 TEST(BlockedAllocations, SteadyStateStepIsAllocationFree) {
-    auto cfg = amr_config(24, 2, simd::Mode::Native, true,
-                          /*rezone_interval=*/0);
-    tsh::ShallowWaterSolver<fp::MixedPrecision> s(cfg);
+    tsh::ShallowWaterSolver<fp::MixedPrecision> s(
+        amr_config(24, 2, /*rezone_interval=*/0));
     s.initialize_dam_break({});
     s.run(3);  // warm every lazy scratch buffer
     const std::uint64_t before = g_allocs.load();
     s.run(5);
-    EXPECT_EQ(g_allocs.load(), before) << "blocked sweep allocated in "
+    EXPECT_EQ(g_allocs.load(), before) << "flux sweep allocated in "
                                           "steady state";
 }
 

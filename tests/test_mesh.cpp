@@ -190,6 +190,26 @@ TEST(AmrMesh, RemapPlanCoversEveryNewCell) {
     }
 }
 
+// An adapt that changes nothing (all keep, or coarsening the mesh cannot
+// honor) yields the identity plan; any topology change does not, wherever
+// in the Morton order it happens.
+TEST(AmrMesh, IdentityPlanIffTopologyUnchanged) {
+    tmsh::AmrMesh m(geom(8, 2));
+    std::vector<std::int8_t> flags(m.num_cells(), tmsh::kKeepFlag);
+    EXPECT_TRUE(m.adapt(flags).is_identity());
+    flags.assign(m.num_cells(), tmsh::kCoarsenFlag);  // level 0: no-op
+    EXPECT_TRUE(m.adapt(flags).is_identity());
+    for (const std::size_t c : {std::size_t{0}, m.num_cells() - 1}) {
+        flags.assign(m.num_cells(), tmsh::kKeepFlag);
+        flags[c] = tmsh::kRefineFlag;
+        EXPECT_FALSE(m.adapt(flags).is_identity()) << "refine " << c;
+    }
+    flags.assign(m.num_cells(), tmsh::kKeepFlag);
+    EXPECT_TRUE(m.adapt(flags).is_identity());
+    flags.assign(m.num_cells(), tmsh::kCoarsenFlag);
+    EXPECT_FALSE(m.adapt(flags).is_identity());
+}
+
 // --------------------------------------------------------- point location
 TEST(AmrMesh, FindCellLocatesLeaves) {
     tmsh::AmrMesh m(geom(4, 2));
@@ -477,87 +497,4 @@ TEST(AmrMesh, ResidentBytesGrowWithRefinement) {
     std::vector<std::int8_t> flags(m.num_cells(), tmsh::kRefineFlag);
     m.adapt(flags);
     EXPECT_GT(m.resident_bytes(), before);
-}
-
-// ------------------------------------------------- leaves_in_range
-
-// Brute-force reference: count leaves whose finest-level anchor lies in
-// [lo, hi) and check the returned interval is exactly that contiguous
-// index range.
-namespace {
-
-void check_range(const tmsh::AmrMesh& m, std::uint64_t lo, std::uint64_t hi,
-                 int max_level) {
-    const auto [first, last] = m.leaves_in_range(lo, hi);
-    ASSERT_LE(first, last);
-    const auto& cells = m.cells();
-    for (std::int32_t c = 0; c < static_cast<std::int32_t>(cells.size());
-         ++c) {
-        const auto key =
-            tmsh::morton_anchor(cells[static_cast<std::size_t>(c)],
-                                max_level);
-        EXPECT_EQ(key, m.leaf_key(c));
-        const bool inside = key >= lo && key < hi;
-        EXPECT_EQ(inside, c >= first && c < last)
-            << "leaf " << c << " key " << key << " range [" << lo << ", "
-            << hi << ")";
-    }
-}
-
-}  // namespace
-
-// On an adapted mesh, every aligned and unaligned query interval must
-// come back as exactly the contiguous slice of leaves whose anchors fall
-// inside it — including intervals that start or end in the middle of a
-// coarse leaf's Morton extent (the leaf is excluded: anchors, not
-// overlap, define membership).
-TEST(AmrMesh, LeavesInRangeMatchesBruteForce) {
-    const int max_level = 3;
-    tmsh::AmrMesh m(geom(6, max_level));
-    std::uint64_t state = 4242;
-    for (int round = 0; round < 3; ++round)
-        (void)m.adapt(random_flags(m.num_cells(), state));
-
-    const auto n = static_cast<std::int32_t>(m.num_cells());
-    const std::uint64_t last_key = m.leaf_key(n - 1);
-
-    // Aligned tile ranges (the block builder's query shape): one finest-
-    // level 8x8-at-level-l quadrant is a contiguous code interval of
-    // length (8 << (max_level - l))^2 in anchor space.
-    for (std::int32_t l = 0; l <= max_level; ++l) {
-        const std::uint64_t span =
-            static_cast<std::uint64_t>(8u << (max_level - l)) *
-            static_cast<std::uint64_t>(8u << (max_level - l));
-        for (std::uint64_t lo = 0; lo <= last_key; lo += span)
-            check_range(m, lo, lo + span, max_level);
-    }
-
-    // Unaligned edges and empty intervals.
-    check_range(m, 1, 2, max_level);
-    check_range(m, 3, 17, max_level);
-    check_range(m, last_key, last_key + 1, max_level);
-    check_range(m, last_key + 1, last_key + 100, max_level);  // empty
-    check_range(m, 5, 5, max_level);                          // empty
-    check_range(m, 0, ~std::uint64_t{0}, max_level);          // everything
-}
-
-// Max-level keys: on a fully refined mesh the anchors are dense, so every
-// unit interval holds exactly one leaf and the interval arithmetic has no
-// slack to hide in.
-TEST(AmrMesh, LeavesInRangeOnFullyRefinedMesh) {
-    const int max_level = 2;
-    tmsh::AmrMesh m(geom(2, max_level));
-    for (int l = 0; l < max_level; ++l) {
-        std::vector<std::int8_t> flags(m.num_cells(), tmsh::kRefineFlag);
-        (void)m.adapt(flags);
-    }
-    const auto n = static_cast<std::int32_t>(m.num_cells());
-    ASSERT_EQ(n, 8 * 8);
-    for (std::int32_t c = 0; c < n; ++c) {
-        EXPECT_EQ(m.leaf_key(c), static_cast<std::uint64_t>(c));
-        const auto [first, last] = m.leaves_in_range(
-            static_cast<std::uint64_t>(c), static_cast<std::uint64_t>(c) + 1);
-        EXPECT_EQ(first, c);
-        EXPECT_EQ(last, c + 1);
-    }
 }

@@ -429,6 +429,21 @@ TEST(Shallow, RezoneStatsPartitionCells) {
     EXPECT_LT(st.translated_cells + st.resolved_cells, st.cells_touched);
 }
 
+// A max_level-0 mesh never changes, so every rezone's plan is the
+// identity: flags and adapt still run and are counted, while the state
+// and the caches are left as they are — and stay exact.
+TEST(Shallow, IdentityRezoneKeepsCachesAndCounts) {
+    auto cfg = small_config(16, 0);
+    cfg.rezone_interval = 2;
+    auto s = make_run<tsh::FullShallowSolver>(cfg, 10);
+    const auto& st = s.rezone_stats();
+    EXPECT_EQ(st.rezones, 4u);
+    EXPECT_EQ(st.cells_touched, 4u * 2 * 256);
+    EXPECT_EQ(st.translated_cells, 4u * 256);
+    EXPECT_EQ(st.resolved_cells, 0u);
+    EXPECT_TRUE(s.topology_caches_consistent());
+}
+
 TEST(Shallow, MixedModeRecordsConversions) {
     auto s = make_run<tsh::MixedShallowSolver>(small_config(16, 1), 4);
     const auto* fd = s.ledger().find("finite_diff");

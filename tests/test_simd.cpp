@@ -169,7 +169,7 @@ std::string clamr_bits(tsi::Mode mode, int levels, int rezone_interval = 4) {
     s.initialize_dam_break({});
     s.run(25);
     // Level-run invariants while we are here: runs tile [0, num_cells)
-    // and never mix levels (the blocked flux sweep depends on this).
+    // and never mix levels (compute_dt depends on this).
     std::size_t covered = 0;
     for (const auto& run : s.level_runs()) {
         EXPECT_EQ(static_cast<std::size_t>(run.begin), covered);
