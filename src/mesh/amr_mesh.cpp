@@ -1,5 +1,7 @@
 #include "mesh/amr_mesh.hpp"
 
+#include "util/arena.hpp"
+
 #include <algorithm>
 #include <array>
 #include <cassert>
@@ -194,6 +196,12 @@ bool AmrMesh::has_finer_cover(std::int32_t level, std::int32_t i,
 }
 
 RemapPlan AmrMesh::adapt(std::span<const std::int8_t> flags) {
+    RemapPlan plan;
+    adapt(flags, plan);
+    return plan;
+}
+
+void AmrMesh::adapt(std::span<const std::int8_t> flags, RemapPlan& plan) {
     if (flags.size() != cells_.size())
         throw std::invalid_argument("adapt: flag count != cell count");
 
@@ -267,15 +275,24 @@ RemapPlan AmrMesh::adapt(std::span<const std::int8_t> flags) {
     // siblings of a coarsen group are contiguous, and refine children are
     // emitted in Morton child order inside their parent's span. keys_ is
     // emitted alongside, so no post-adapt sort or index rebuild exists.
-    std::vector<Cell> next;
-    std::vector<std::uint64_t> next_keys;
-    std::vector<RemapEntry> remap;
+    std::vector<Cell>& next = spare_cells_;
+    std::vector<std::uint64_t>& next_keys = spare_keys_;
+    std::vector<RemapEntry>& remap = plan.entries;
+    next.clear();
+    next_keys.clear();
+    remap.clear();
+    plan.copy_spans.clear();
     // Newly created children, recorded as balance-scan seeds: only their
     // neighborhoods can have lost 2:1 balance.
     std::vector<std::int32_t> seeds;
-    next.reserve(cells_.size() + 3 * static_cast<std::size_t>(nrefine));
-    next_keys.reserve(next.capacity());
-    remap.reserve(next.capacity());
+    // The emit buffers are reused across adapts; growing them with
+    // headroom also leaves room for the balance refinements appended
+    // below, which would otherwise reallocate all three lists.
+    const std::size_t emit =
+        cells_.size() + 3 * static_cast<std::size_t>(nrefine);
+    util::reserve_for_refill(next, emit);
+    util::reserve_for_refill(next_keys, emit);
+    util::reserve_for_refill(remap, emit);
     seeds.reserve(4 * static_cast<std::size_t>(nrefine));
     // Unchanged cells dominate in steady state, so they move in bulk runs
     // (cells and keys via range insert, Copy entries via a tight fill)
@@ -330,16 +347,15 @@ RemapPlan AmrMesh::adapt(std::span<const std::int8_t> flags) {
     }
     flush_run(cells_.size());
 
-    cells_ = std::move(next);
-    keys_ = std::move(next_keys);
+    // The old list becomes the next adapt's emit buffer.
+    cells_.swap(next);
+    keys_.swap(next_keys);
     enforce_balance(remap, std::move(seeds));
     build_boundary_faces();
     faces_dirty_ = true;
     validate_order();
 
     // --- Digest: maximal constant-shift Copy spans -----------------------
-    RemapPlan plan;
-    plan.entries = std::move(remap);
     for (std::size_t idx = 0; idx < plan.entries.size();) {
         const RemapEntry& e = plan.entries[idx];
         if (e.kind != RemapKind::Copy) {
@@ -357,7 +373,6 @@ RemapPlan AmrMesh::adapt(std::span<const std::int8_t> flags) {
         plan.copy_spans.push_back(
             CopySpan{begin, static_cast<std::int32_t>(idx), shift});
     }
-    return plan;
 }
 
 void AmrMesh::enforce_balance(std::vector<RemapEntry>& remap,

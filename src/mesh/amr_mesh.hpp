@@ -185,6 +185,10 @@ public:
     /// needed to restore 2:1 balance. Returns the state-remap plan, one
     /// entry per *new* cell (same order as the new cell list).
     RemapPlan adapt(std::span<const std::int8_t> flags);
+    /// The same, written into `plan` and reusing its storage: a caller that
+    /// keeps one plan across rezones stops allocating per adapt once the
+    /// mesh stops growing.
+    void adapt(std::span<const std::int8_t> flags, RemapPlan& plan);
 
     /// Interior faces are rebuilt lazily: adapt() only marks them stale, so
     /// steady-state consumers that resolve neighbors per cell never pay for
@@ -249,6 +253,11 @@ private:
     /// morton_anchor(cells_[idx], max_level), strictly increasing — the
     /// sorted index all lookups binary-search instead of hashing.
     std::vector<std::uint64_t> keys_;
+    /// The cell list and keys from before the last adapt: the next adapt
+    /// emits into them, reusing already-touched storage instead of
+    /// allocating a fresh mesh-sized list per adapt.
+    std::vector<Cell> spare_cells_;
+    std::vector<std::uint64_t> spare_keys_;
     mutable std::vector<Face> xfaces_;
     mutable std::vector<Face> yfaces_;
     mutable bool faces_dirty_ = true;

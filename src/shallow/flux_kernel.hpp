@@ -206,15 +206,14 @@ inline constexpr int kTilePadCells = kTilePad * kTilePad;
 
 /// One sweepable tile: its source map plus its level's full face widths
 /// (regular cells never see a fine sub-face, so the area is a per-tile
-/// broadcast instead of a per-slot table). Bit jj * kTileSize + ii of a
-/// mask names interior position (ii, jj).
+/// broadcast instead of a per-slot table). Bit jj * kTileSize + ii of
+/// `regular` names interior position (ii, jj).
 template <typename C>
 struct TileBlock {
     /// kTilePadCells gather map: each member's own index, and at each
     /// position across a member side that holds exactly one neighbor,
     /// that neighbor; -1 everywhere else (never read by a regular cell).
     const std::int32_t* src;
-    std::uint64_t members;  ///< positions holding a leaf of the tile level
     std::uint64_t regular;  ///< members the dense sweep computes
     C wx;                   ///< x-face area = cell_dy(level)
     C wy;                   ///< y-face area = cell_dx(level)

@@ -17,6 +17,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace tp::shallow {
 
@@ -33,6 +34,13 @@ constexpr std::uint64_t kCflFlopsPerCell = 12;
 // carries measured wall time and estimated data volume with zero flops,
 // so the roofline projects them as pure memory time instead of the old
 // hard-coded per-cell op proxies.
+
+// The level-0 tile region holding a cell: the Morton-aligned block of
+// kTileSize^2 coarse cells around it. Every tile lies inside one region.
+std::pair<std::int32_t, std::int32_t> tile_region(const mesh::Cell& c) {
+    return {(c.i >> c.level) / detail::kTileSize,
+            (c.j >> c.level) / detail::kTileSize};
+}
 
 // Double-precision shadow reference for one cell of the Rusanov sweep:
 // the same operation sequence as flux_kernel.hpp's flux_block_gather
@@ -256,16 +264,82 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
 // closes when a level-L cell lands in a different tile.
 //
 // Each member writes its own index at its padded position and, for each
-// side whose slot pair holds exactly one neighbor (first slot non-zero
-// area, second zero: in-domain and same-or-coarser), that neighbor at the
-// adjacent position. Every other position stays -1. A member whose four
-// sides all hold exactly one neighbor is regular: the tile kernel reads
-// only its own position and those four, which hold exactly the cells its
-// slots name. Dense tiles carry their regular members; every other cell —
-// irregular members plus all members of sparse tiles — lands in the
-// sorted fallback list that flux_block_gather walks W cells per pack.
+// side whose slot pair holds exactly one neighbor (the first slot names
+// another cell and the second is empty, i.e. names the cell itself: the
+// neighbor is in-domain and same-or-coarser), that neighbor at the
+// adjacent position. Every other position stays -1. Only the index
+// planes are read: an empty slot's zero area always comes with the self
+// index. A member whose four sides all hold exactly one neighbor is
+// regular: the tile kernel reads only its own position and those four,
+// which hold exactly the cells its slots name. Dense tiles carry their
+// regular members; every other cell — irregular members plus all members
+// of sparse tiles — lands in the sorted fallback list that
+// flux_block_gather walks W cells per pack.
+//
+// Every tile lies inside one level-0 tile region (the Morton-aligned
+// block of kTileSize^2 coarse cells around it), and a region's cells are
+// one contiguous Morton range as well. The pass closes all its open tiles
+// at each region end, so the cells split at region starts into one range
+// per thread without changing the tiles, their order or the fallback list.
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rebuild_tiles() {
+    const std::size_t n = mesh_.num_cells();
+    const mesh::Cell* cells = mesh_.cells().data();
+    fallback_flag_.assign(n, std::uint8_t(0));
+    // First index at or after c that starts a level-0 tile region.
+    const auto region_start = [cells, n](std::size_t c) {
+        while (c > 0 && c < n &&
+               tile_region(cells[c]) == tile_region(cells[c - 1]))
+            ++c;
+        return c;
+    };
+    const auto nparts = static_cast<std::size_t>(util::max_threads());
+    tile_parts_.resize(nparts);
+    const auto np = static_cast<std::int64_t>(nparts);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t k = 0; k < np; ++k) {
+        const auto part = static_cast<std::size_t>(k);
+        derive_tiles(region_start(n * part / nparts),
+                     region_start(n * (part + 1) / nparts),
+                     tile_parts_[part]);
+    }
+
+    // Part 0's source maps and fallback cells are swapped in rather than
+    // copied (at one thread they are the whole result); later parts
+    // append.
+    tile_src_.swap(tile_parts_.front().src);
+    fallback_cells_.swap(tile_parts_.front().fallback);
+    tile_blocks_.clear();
+    tile_blocks_alt_.clear();
+    for (std::size_t k = 0; k < nparts; ++k) {
+        const TilePart& part = tile_parts_[k];
+        // Alt areas double-cast through compute_t, matching
+        // prepare_alt_tables.
+        for (const detail::TileBlock<compute_t>& b : part.blocks) {
+            tile_blocks_.push_back(b);
+            tile_blocks_alt_.push_back({nullptr, b.regular,
+                                        static_cast<alt_compute_t>(b.wx),
+                                        static_cast<alt_compute_t>(b.wy)});
+        }
+        if (k == 0) continue;
+        tile_src_.insert(tile_src_.end(), part.src.begin(), part.src.end());
+        fallback_cells_.insert(fallback_cells_.end(), part.fallback.begin(),
+                               part.fallback.end());
+    }
+    for (std::size_t b = 0; b < tile_blocks_.size(); ++b) {
+        const std::int32_t* src =
+            tile_src_.data() + b * detail::kTilePadCells;
+        tile_blocks_[b].src = src;
+        tile_blocks_alt_[b].src = src;
+    }
+}
+
+// One thread's share of rebuild_tiles: the cells [begin, end), which start
+// and end at level-0 tile region boundaries.
+template <fp::PrecisionPolicy Policy>
+void ShallowWaterSolver<Policy>::derive_tiles(std::size_t begin,
+                                              std::size_t end,
+                                              TilePart& part) {
     using detail::kTilePad;
     using detail::kTilePadCells;
     using detail::kTileSize;
@@ -282,11 +356,10 @@ void ShallowWaterSolver<Policy>::rebuild_tiles() {
     const std::size_t n = mesh_.num_cells();
     const mesh::Cell* cells = mesh_.cells().data();
     const std::int32_t* nidx = nbr_idx_.data();
-    const compute_t* narea = nbr_area_.data();
-    tile_blocks_.clear();
-    tile_blocks_alt_.clear();
-    tile_src_.clear();
-    fallback_flag_.assign(n, std::uint8_t(0));
+    std::uint8_t* fallback = fallback_flag_.data();
+    part.blocks.clear();
+    part.src.clear();
+    part.fallback.clear();
     std::array<OpenTile, kMaxSupportedLevel + 1> open;
 
     const auto close = [&](std::int32_t level) {
@@ -294,16 +367,12 @@ void ShallowWaterSolver<Policy>::rebuild_tiles() {
         const bool dense = std::popcount(t.regular) >= kMinTileRegular;
         if (dense) {
             // The full same-level face widths, cast exactly as the slot
-            // tables cast them (alt areas double-cast through compute_t,
-            // matching prepare_alt_tables). The src pointers are set once
-            // tile_src_ has stopped growing.
+            // tables cast them. The src pointers are set once the tiles
+            // of all parts sit in tile_src_.
             const auto wx = static_cast<compute_t>(mesh_.cell_dy(level));
             const auto wy = static_cast<compute_t>(mesh_.cell_dx(level));
-            tile_src_.insert(tile_src_.end(), t.src.begin(), t.src.end());
-            tile_blocks_.push_back({nullptr, t.members, t.regular, wx, wy});
-            tile_blocks_alt_.push_back({nullptr, t.members, t.regular,
-                                        static_cast<alt_compute_t>(wx),
-                                        static_cast<alt_compute_t>(wy)});
+            part.src.insert(part.src.end(), t.src.begin(), t.src.end());
+            part.blocks.push_back({nullptr, t.regular, wx, wy});
         }
         std::uint64_t rest = dense ? (t.members & ~t.regular) : t.members;
         while (rest != 0) {
@@ -311,13 +380,22 @@ void ShallowWaterSolver<Policy>::rebuild_tiles() {
             rest &= rest - 1;
             const std::int32_t c = t.src[static_cast<std::size_t>(
                 detail::tile_padded(k % kTileSize, k / kTileSize))];
-            fallback_flag_[static_cast<std::size_t>(c)] = 1;
+            fallback[static_cast<std::size_t>(c)] = 1;
         }
         t.members = 0;
     };
+    const auto close_all = [&] {
+        for (std::int32_t l = 0; l <= kMaxSupportedLevel; ++l)
+            if (open[static_cast<std::size_t>(l)].members != 0) close(l);
+    };
 
-    for (std::size_t c = 0; c < n; ++c) {
+    std::pair<std::int32_t, std::int32_t> region{-1, -1};
+    for (std::size_t c = begin; c < end; ++c) {
         const mesh::Cell cell = cells[c];
+        if (tile_region(cell) != region) {
+            close_all();
+            region = tile_region(cell);
+        }
         OpenTile& t = open[static_cast<std::size_t>(cell.level)];
         const std::int32_t bi = cell.i / kTileSize;
         const std::int32_t bj = cell.j / kTileSize;
@@ -333,11 +411,12 @@ void ShallowWaterSolver<Policy>::rebuild_tiles() {
         const int k = jj * kTileSize + ii;
         const int p = detail::tile_padded(ii, jj);
         t.members |= std::uint64_t{1} << k;
-        t.src[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(c);
+        const auto self = static_cast<std::int32_t>(c);
+        t.src[static_cast<std::size_t>(p)] = self;
         bool regular = true;
         for (int side = 0; side < 4; ++side) {
             const std::size_t s0 = static_cast<std::size_t>(2 * side) * n + c;
-            if (narea[s0] != compute_t(0) && narea[s0 + n] == compute_t(0))
+            if (nidx[s0] != self && nidx[s0 + n] == self)
                 t.src[static_cast<std::size_t>(p + kSideStep[side])] =
                     nidx[s0];
             else
@@ -345,24 +424,20 @@ void ShallowWaterSolver<Policy>::rebuild_tiles() {
         }
         if (regular) t.regular |= std::uint64_t{1} << k;
     }
-    for (std::int32_t l = 0; l <= kMaxSupportedLevel; ++l)
-        if (open[static_cast<std::size_t>(l)].members != 0) close(l);
-    for (std::size_t b = 0; b < tile_blocks_.size(); ++b) {
-        const std::int32_t* src = tile_src_.data() + b * kTilePadCells;
-        tile_blocks_[b].src = src;
-        tile_blocks_alt_[b].src = src;
-    }
-    fallback_cells_.clear();
-    for (std::size_t c = 0; c < n; ++c)
-        if (fallback_flag_[c] != 0)
-            fallback_cells_.push_back(static_cast<std::int32_t>(c));
+    close_all();
+    for (std::size_t c = begin; c < end; ++c)
+        if (fallback[c] != 0)
+            part.fallback.push_back(static_cast<std::int32_t>(c));
 }
 
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rebuild_topology_caches() {
     const std::size_t n = mesh_.num_cells();
-    nbr_idx_.resize(static_cast<std::size_t>(kSlots) * n);
-    nbr_area_.resize(static_cast<std::size_t>(kSlots) * n);
+    const std::size_t slots = static_cast<std::size_t>(kSlots) * n;
+    util::reserve_for_refill(nbr_idx_, slots);
+    util::reserve_for_refill(nbr_area_, slots);
+    nbr_idx_.resize(slots);
+    nbr_area_.resize(slots);
     std::int32_t* nidx = nbr_idx_.data();
     compute_t* narea = nbr_area_.data();
     const auto ni = static_cast<std::int64_t>(n);
@@ -420,8 +495,11 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
                   plan.copy_spans[static_cast<std::size_t>(nspans - 1)].shift;
     for (std::int64_t k = tail; k < old_ni; ++k) o2n[k] = -1;
 
-    nbr_idx_back_.resize(static_cast<std::size_t>(kSlots) * n);
-    nbr_area_back_.resize(static_cast<std::size_t>(kSlots) * n);
+    const std::size_t slots = static_cast<std::size_t>(kSlots) * n;
+    util::reserve_for_refill(nbr_idx_back_, slots);
+    util::reserve_for_refill(nbr_area_back_, slots);
+    nbr_idx_back_.resize(slots);
+    nbr_area_back_.resize(slots);
     const std::int32_t* oidx = nbr_idx_.data();
     const compute_t* oarea = nbr_area_.data();
     std::int32_t* nidx = nbr_idx_back_.data();
@@ -440,17 +518,20 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
     //
     // The translate streams one slot plane at a time so both tables move
     // at memcpy-like sequential speed (the slot-major layout would make a
-    // per-cell loop take 16 strided touches); a dead translated neighbor
-    // sets the cell's dirty byte, and a second per-cell pass resolves the
-    // dirty remainder (plus everything outside the spans) from the mesh.
+    // per-cell loop take 16 strided touches); the planes share one thread
+    // team, which forks once and meets at a barrier after each plane. A
+    // dead translated neighbor sets the cell's dirty byte, and a second
+    // per-cell pass resolves the dirty remainder (plus everything outside
+    // the spans) from the mesh.
     slot_dirty_.assign(n, 0);
     std::uint8_t* dirty = slot_dirty_.data();
+#pragma omp parallel
     for (int s = 0; s < kSlots; ++s) {
         const std::int32_t* op = oidx + static_cast<std::size_t>(s) * old_n;
         const compute_t* oa = oarea + static_cast<std::size_t>(s) * old_n;
         std::int32_t* np = nidx + static_cast<std::size_t>(s) * n;
         compute_t* na = narea + static_cast<std::size_t>(s) * n;
-#pragma omp parallel for schedule(static)
+#pragma omp for schedule(static)
         for (std::int64_t sp = 0; sp < nspans; ++sp) {
             const mesh::CopySpan span = plan.copy_spans[sp];
             const std::size_t len =
@@ -592,7 +673,8 @@ void ShallowWaterSolver<Policy>::initialize_dam_break(const DamBreak& ic) {
         // Never coarsen during initialization.
         for (auto& f : flags_scratch_)
             if (f == mesh::kCoarsenFlag) f = mesh::kKeepFlag;
-        changed |= !mesh_.adapt(flags_scratch_).is_identity();
+        mesh_.adapt(flags_scratch_, plan_);
+        changed |= !plan_.is_identity();
         // resize, not assign: apply_ic overwrites every cell, so zero-fill
         // would be pure churn, and the vectors keep their capacity across
         // the warm-up passes instead of reallocating on each one.
@@ -768,7 +850,8 @@ void ShallowWaterSolver<Policy>::rezone() {
     // Phase 2: mesh adapt (coarsen-group approval, emit, 2:1 balance, all
     // over the sorted Morton keys — no hashing, no post-sort).
     obs::Phase adapt("clamr.rezone_adapt", timers_, "rezone_adapt", "rezone");
-    const auto plan = mesh_.adapt(flags_scratch_);
+    mesh_.adapt(flags_scratch_, plan_);
+    const mesh::RemapPlan& plan = plan_;
     const double s_adapt = adapt.stop();
     const std::uint64_t new_cells = mesh_.num_cells();
     const std::uint64_t adapt_bytes =
@@ -777,11 +860,17 @@ void ShallowWaterSolver<Policy>::rezone() {
     ledger_.record("rezone_adapt", s_adapt, 0, 0, adapt_bytes, 0, 0,
                    threads);
 
+    // An identity plan leaves the state and the caches as they are (the
+    // two phases below return at once), so it moves no bytes and
+    // translates no cell.
+    const bool moved = !plan.is_identity();
+
     // Phase 3: state carry-over (span memcpy + refine/coarsen gather).
     obs::Phase remap("clamr.rezone_remap", timers_, "rezone_remap", "rezone");
     remap_state(plan);
     ledger_.record("rezone_remap", remap.stop(), 0, 0,
-                   (old_cells + new_cells) * 3 * ss, 0, 0, threads);
+                   moved ? (old_cells + new_cells) * 3 * ss : 0, 0, 0,
+                   threads);
 
     // Phase 4: topology caches — translate surviving cells' slots, resolve
     // only the cells whose neighborhood changed.
@@ -789,13 +878,14 @@ void ShallowWaterSolver<Policy>::rezone() {
     const std::size_t resolved = update_topology_caches(plan);
     const double s_cache = cache.stop();
     const std::uint64_t cache_bytes =
-        (old_cells + new_cells) * slot_bytes + old_cells * 4 +
-        new_cells * (sc + 4);
+        moved ? (old_cells + new_cells) * slot_bytes + old_cells * 4 +
+                    new_cells * (sc + 4)
+              : 0;
     ledger_.record("rezone_cache", s_cache, 0, 0, cache_bytes, 0, 0,
                    threads);
     rezone_stats_.rezones += 1;
     rezone_stats_.cells_touched += old_cells + new_cells;
-    rezone_stats_.translated_cells += new_cells - resolved;
+    rezone_stats_.translated_cells += moved ? new_cells - resolved : 0;
     rezone_stats_.resolved_cells += resolved;
     rezone_stats_.copy_spans += plan.copy_spans.size();
 }

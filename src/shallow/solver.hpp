@@ -272,6 +272,14 @@ private:
     /// Derive tile_blocks_/fallback_cells_ from the slot tables in one
     /// pass over the cells (part of rebuild_iteration_space).
     void rebuild_tiles();
+    /// One thread's share of the pass: dense tiles (src pointers unset),
+    /// their source maps, and the sorted fallback cells of its range.
+    struct TilePart {
+        std::vector<detail::TileBlock<compute_t>> blocks;
+        std::vector<std::int32_t> src;
+        std::vector<std::int32_t> fallback;
+    };
+    void derive_tiles(std::size_t begin, std::size_t end, TilePart& part);
     [[nodiscard]] double compute_dt();
     void finite_diff(double dt);
     [[nodiscard]] detail::FluxArgs<storage_t, compute_t> flux_args();
@@ -338,6 +346,7 @@ private:
     std::vector<compute_t> nbr_area_back_;
     std::vector<std::int32_t> old_to_new_;
     std::vector<std::uint8_t> slot_dirty_;  // per-cell "needs resolve" flag
+    mesh::RemapPlan plan_;  // adapt output, storage reused across rezones
     // Same-level runs for compute_dt (rebuilt with the neighbor tables).
     std::vector<detail::LevelRun> level_runs_;
     // Flux-sweep iteration space (rebuilt with the neighbor tables): the
@@ -352,6 +361,7 @@ private:
     std::vector<detail::TileBlock<compute_t>> tile_blocks_;
     std::vector<detail::TileBlock<alt_compute_t>> tile_blocks_alt_;
     std::vector<std::int32_t> tile_src_;  // kTilePadCells per dense tile
+    std::vector<TilePart> tile_parts_;    // per-thread rebuild_tiles output
     std::vector<std::int32_t> fallback_cells_;
     std::vector<std::uint8_t> fallback_flag_;
     // Governed-path state: alt-precision increment buffers and neighbor

@@ -140,4 +140,18 @@ class ArenaScope {
     return arena;
 }
 
+/// Make room for n elements in a mesh-sized buffer kept across rezones
+/// whose contents are about to be rewritten. Growth past the capacity
+/// drops the old contents instead of copying them and reserves 2x
+/// headroom, so a growing mesh reallocates about once per doubling instead
+/// of on most rezones. Each reallocation first-touches a fresh block;
+/// untouched headroom costs address space, not resident memory.
+template <typename T>
+void reserve_for_refill(std::vector<T>& v, std::size_t n) {
+    if (n > v.capacity()) {
+        v.clear();
+        v.reserve(2 * n);
+    }
+}
+
 }  // namespace tp::util

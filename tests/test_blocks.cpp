@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "shallow/solver.hpp"
+#include "util/threads.hpp"
 
 using namespace tp;
 namespace tsh = tp::shallow;
@@ -46,12 +47,12 @@ tsh::Config amr_config(int n, int levels, int rezone_interval) {
 // ------------------------------------------------------ tile invariants
 
 // Tile correctness on a 12^2 grid, whose level-0 tiles run off the domain
-// edge: member bits name exactly the leaves at the tile's level, each
-// member's source is that leaf, each regular member's four side positions
-// hold the in-domain, same-or-coarser leaf covering them, and the tiles'
-// regular members plus the fallback cells partition the mesh (every cell
-// computed exactly once per sweep). Returns whether some dense tile runs
-// off the domain.
+// edge: every leaf of the tile's level inside the tile is at its own
+// source position, every regular bit names such a leaf, each regular
+// member's four side positions hold the in-domain, same-or-coarser leaf
+// covering them, and the tiles' regular members plus the fallback cells
+// partition the mesh (every cell computed exactly once per sweep).
+// Returns whether some dense tile runs off the domain.
 template <typename Solver>
 bool check_tiles(const Solver& s) {
     using tsh::detail::kTilePad;
@@ -64,10 +65,10 @@ bool check_tiles(const Solver& s) {
     std::vector<int> covered(mesh.num_cells(), 0);
     bool straddles_edge = false;
     for (const auto& t : s.tile_blocks()) {
-        EXPECT_EQ(t.regular & ~t.members, 0u);
         EXPECT_GE(std::popcount(t.regular), Solver::kMinTileRegular);
-        // The tile's level and coordinates, read off its first member.
-        const int k0 = std::countr_zero(t.members);
+        // The tile's level and coordinates, read off its first regular
+        // member.
+        const int k0 = std::countr_zero(t.regular);
         const mesh::Cell& first = cells[static_cast<std::size_t>(
             t.src[tile_padded(k0 % kTileSize, k0 / kTileSize)])];
         const std::int32_t level = first.level;
@@ -83,13 +84,15 @@ bool check_tiles(const Solver& s) {
                 const std::int32_t i = i0 + ii;
                 const std::int32_t j = j0 + jj;
                 const auto leaf = mesh.leaf_index(level, i, j);
-                const bool member = (t.members >> k) & 1u;
-                EXPECT_EQ(member, leaf >= 0)
-                    << "level " << level << " (" << i << ", " << j << ")";
-                if (member) {
-                    EXPECT_EQ(t.src[p], leaf);
+                if (leaf >= 0) {
+                    EXPECT_EQ(t.src[p], leaf)
+                        << "level " << level << " (" << i << ", " << j << ")";
                 }
                 if (((t.regular >> k) & 1u) == 0) continue;
+                EXPECT_GE(leaf, 0)
+                    << "regular bit off the level at level " << level
+                    << " (" << i << ", " << j << ")";
+                if (leaf < 0) continue;
                 // Padded-position step and index offset per side W, E, S, N.
                 const int sides[4][3] = {{-1, -1, 0},
                                          {+1, +1, 0},
@@ -130,6 +133,40 @@ TEST(FluxTiles, MasksAndFallbackPartitionTheMesh) {
         straddles_edge |= check_tiles(s);
     }
     EXPECT_TRUE(straddles_edge) << "no dense tile runs off the domain";
+}
+
+// The pass splits its cells into one range per thread, so the tile list
+// (order, masks, source maps) and the fallback list must not depend on
+// the team size.
+TEST(FluxTiles, TileListIndependentOfTeamSize) {
+    struct Tiles {
+        std::vector<std::uint64_t> regular;
+        std::vector<std::int32_t> src;
+        std::vector<std::int32_t> fallback;
+    };
+    const auto tiles_at = [](int threads) {
+        util::set_threads(threads);
+        tsh::ShallowWaterSolver<fp::MixedPrecision> s(
+            amr_config(40, 3, /*rezone_interval=*/3));
+        s.initialize_dam_break({});
+        s.run(20);
+        Tiles t;
+        for (const auto& b : s.tile_blocks()) {
+            t.regular.push_back(b.regular);
+            t.src.insert(t.src.end(), b.src,
+                         b.src + tsh::detail::kTilePadCells);
+        }
+        t.fallback = s.fallback_cells();
+        return t;
+    };
+    const Tiles one = tiles_at(1);
+    for (const int threads : {2, 3, 4}) {
+        const Tiles many = tiles_at(threads);
+        EXPECT_EQ(many.regular, one.regular) << threads << " threads";
+        EXPECT_EQ(many.src, one.src) << threads << " threads";
+        EXPECT_EQ(many.fallback, one.fallback) << threads << " threads";
+    }
+    util::set_threads(0);
 }
 
 // --------------------------------------------- zero steady-state allocs

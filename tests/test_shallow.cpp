@@ -431,7 +431,8 @@ TEST(Shallow, RezoneStatsPartitionCells) {
 
 // A max_level-0 mesh never changes, so every rezone's plan is the
 // identity: flags and adapt still run and are counted, while the state
-// and the caches are left as they are — and stay exact.
+// and the caches are left as they are — and stay exact. No cell is
+// translated, and the remap and cache ledger entries carry no bytes.
 TEST(Shallow, IdentityRezoneKeepsCachesAndCounts) {
     auto cfg = small_config(16, 0);
     cfg.rezone_interval = 2;
@@ -439,9 +440,14 @@ TEST(Shallow, IdentityRezoneKeepsCachesAndCounts) {
     const auto& st = s.rezone_stats();
     EXPECT_EQ(st.rezones, 4u);
     EXPECT_EQ(st.cells_touched, 4u * 2 * 256);
-    EXPECT_EQ(st.translated_cells, 4u * 256);
+    EXPECT_EQ(st.translated_cells, 0u);
     EXPECT_EQ(st.resolved_cells, 0u);
     EXPECT_TRUE(s.topology_caches_consistent());
+    for (const char* phase : {"rezone_remap", "rezone_cache"}) {
+        const auto* e = s.ledger().find(phase);
+        ASSERT_NE(e, nullptr) << phase;
+        EXPECT_EQ(e->bytes, 0u) << phase;
+    }
 }
 
 TEST(Shallow, MixedModeRecordsConversions) {
