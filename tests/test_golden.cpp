@@ -4,7 +4,8 @@
 // 64-bit FNV-1a (util/fnv.hpp) of a byte stream a solver produces:
 //   - shallow_checkpoint.txt: the write_checkpoint() bytes after a
 //     rezone-heavy dam break, per policy x SIMD shape x refinement depth,
-//     on a tile-aligned and an edge-straddling coarse grid;
+//     on a tile-aligned and an edge-straddling coarse grid, plus governed
+//     runs that switch the flux sweep's compute precision both ways;
 //   - dist_gather_height.txt: the row-stripe distributed solver's
 //     gather_height() field, per policy x rank count x schedule.
 // The arithmetic is IEEE-deterministic (no contraction in kernel TUs,
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "fp/governor.hpp"
 #include "fp/half_policy.hpp"
 #include "par/dist_shallow.hpp"
 #include "shallow/solver.hpp"
@@ -66,24 +68,70 @@ struct ShallowCase {
 const ShallowCase kAlignedCase{16, 30, 2, {0, 2, 4}};
 const ShallowCase kEdgeCase{12, 30, 4, {0, 3}};
 
+// Digest of the checkpoint after `sc.steps` steps at `levels`, with
+// `gov` (if any) attached and stepped like a driver does.
+template <typename P>
+std::uint64_t checkpoint_digest(const ShallowCase& sc, int levels,
+                                simd::Mode mode, fp::PrecisionGovernor* gov) {
+    shallow::Config cfg;
+    cfg.geom = {0.0, 0.0, 100.0, 100.0, sc.grid, sc.grid, levels};
+    cfg.simd = mode;
+    cfg.rezone_interval = sc.rezone_interval;
+    shallow::ShallowWaterSolver<P> s(cfg);
+    if (gov != nullptr) s.set_governor(gov);
+    s.initialize_dam_break({});
+    for (int k = 0; k < sc.steps; ++k) {
+        s.step();
+        if (gov != nullptr) gov->end_step(s.step_count());
+    }
+    std::ostringstream os(std::ios::binary);
+    s.write_checkpoint(os);
+    return util::fnv1a(os.view());
+}
+
 template <typename P>
 void shallow_digests(const ShallowCase& sc, std::string& text) {
     for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native})
-        for (const int levels : sc.levels) {
-            shallow::Config cfg;
-            cfg.geom = {0.0, 0.0, 100.0, 100.0, sc.grid, sc.grid, levels};
-            cfg.simd = mode;
-            cfg.rezone_interval = sc.rezone_interval;
-            shallow::ShallowWaterSolver<P> s(cfg);
-            s.initialize_dam_break({});
-            s.run(sc.steps);
-            std::ostringstream os(std::ios::binary);
-            s.write_checkpoint(os);
+        for (const int levels : sc.levels)
             add_digest(text,
                        std::string(P::name) + ' ' + simd::to_string(mode) +
                            " L" + std::to_string(levels),
-                       util::fnv1a(os.view()));
-        }
+                       checkpoint_digest<P>(sc, levels, mode, nullptr));
+}
+
+// Governed runs on the edge-straddling grid. A zero drift budget promotes
+// the flux sweep after the warmup step and demotes it again after each
+// clean hysteresis window, so every policy computes steps in both its own
+// and the alternate compute precision: a float-compute policy's promoted
+// steps and a double-compute policy's demoted ones run on the alternate
+// precision's face widths. 100/12 is not exact in float, so these lines
+// pin how those widths are rounded.
+constexpr int kGovernedLevel = 2;
+
+template <typename P>
+void governed_digests(std::string& text) {
+    fp::GovernorConfig cfg;
+    cfg.enabled = true;
+    cfg.drift_budget_ulp = 0;
+    cfg.tail_budget_frac = 0.0;
+    cfg.warmup = 1;
+    cfg.hysteresis = 3;
+    for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native}) {
+        fp::PrecisionGovernor gov(cfg);
+        const std::uint64_t digest =
+            checkpoint_digest<P>(kEdgeCase, kGovernedLevel, mode, &gov);
+        std::size_t promotes = 0;
+        std::size_t demotes = 0;
+        for (const auto& d : gov.decisions())
+            (d.action == "promote" ? promotes : demotes) += 1;
+        EXPECT_GE(promotes, 1u) << P::name;
+        EXPECT_GE(demotes, 1u) << P::name;
+        add_digest(text,
+                   "governed " + std::string(P::name) + ' ' +
+                       simd::to_string(mode) + " L" +
+                       std::to_string(kGovernedLevel),
+                   digest);
+    }
 }
 
 TEST(Golden, ShallowCheckpointDigests) {
@@ -100,6 +148,15 @@ TEST(Golden, ShallowCheckpointDigests) {
         shallow_digests<fp::FullPrecision>(*sc, text);
         shallow_digests<fp::HalfStoragePrecision>(*sc, text);
     }
+    text += "# Governed: " + std::to_string(kEdgeCase.grid) +
+            "^2 coarse grid, " + std::to_string(kEdgeCase.steps) +
+            " steps, rezone every " +
+            std::to_string(kEdgeCase.rezone_interval) +
+            " steps, zero drift budget, warmup 1, hysteresis 3.\n"
+            "# Key: governed policy simd max_level.\n";
+    governed_digests<fp::MinimumPrecision>(text);
+    governed_digests<fp::MixedPrecision>(text);
+    governed_digests<fp::FullPrecision>(text);
     expect_golden("shallow_checkpoint.txt", text);
 }
 
