@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "mesh/cell.hpp"
 #include "simd/pack.hpp"
 
 namespace tp::shallow::detail {
@@ -46,10 +47,29 @@ struct FluxArgs {
     C* dhu;
     C* dhv;
     const std::int32_t* nbr;  // kSlots slot-major tables of length n
-    const C* areas;           // matching sub-face areas
+    const mesh::Cell* cells;  // each cell's level picks its face widths
+    const C* wx;              // per-level x-face width (cell_dy)
+    const C* wy;              // per-level y-face width (cell_dx)
     std::size_t n;
     C gravity;
 };
+
+/// Sub-face area of neighbor slot `slot` of cell `c` (at `level`), read off
+/// the index planes: 0 when the slot names the cell itself (an empty slot);
+/// otherwise the face width one level finer when the side's second slot
+/// names another cell (two finer neighbors share the side), and the cell's
+/// own face width when it does not (one same-or-coarser neighbor). `width`
+/// is the per-level width table of the slot's face direction, filled up to
+/// one level past the deepest cell.
+template <typename C>
+[[nodiscard]] inline C slot_area(const std::int32_t* nbr, std::size_t n,
+                                 int slot, std::size_t c, std::int32_t level,
+                                 const C* width) {
+    const auto self = static_cast<std::int32_t>(c);
+    if (nbr[static_cast<std::size_t>(slot) * n + c] == self) return C(0);
+    const bool fine = nbr[static_cast<std::size_t>(slot | 1) * n + c] != self;
+    return width[level + static_cast<std::int32_t>(fine)];
+}
 
 /// A maximal run of consecutive same-level cells (Morton order keeps
 /// same-level cells contiguous in practice, so runs are long).
@@ -90,6 +110,14 @@ inline void flux_block_gather(const FluxArgs<S, C>& A,
     const cpk huC = load_state(A.hu);
     const cpk hvC = load_state(A.hv);
     const cpk invC = one / hC;
+    // Per-lane cell and level (dead lanes replicate the last valid cell,
+    // exactly like gather_partial).
+    std::size_t lane_cell[W];
+    std::int32_t lane_level[W];
+    for (int l = 0; l < W; ++l) {
+        lane_cell[l] = static_cast<std::size_t>(cells[l < m ? l : m - 1]);
+        lane_level[l] = A.cells[lane_cell[l]].level;
+    }
     cpk ddh = cpk::broadcast(C(0));
     cpk ddhu = cpk::broadcast(C(0));
     cpk ddhv = cpk::broadcast(C(0));
@@ -98,14 +126,14 @@ inline void flux_block_gather(const FluxArgs<S, C>& A,
         constexpr bool xd = SLOT < 4;          // x-directed face
         constexpr bool pos = (SLOT & 2) != 0;  // cell is on the low side
         const std::size_t off = static_cast<std::size_t>(SLOT) * A.n;
-        // Per-lane slot index and area via the cell list (dead lanes
-        // replicate the last valid cell, exactly like gather_partial).
         std::int32_t idx[W];
-        for (int l = 0; l < W; ++l)
-            idx[l] = A.nbr[off + static_cast<std::size_t>(
-                                     cells[l < m ? l : m - 1])];
-        const cpk a = full ? cpk::gather(A.areas + off, cells)
-                           : cpk::gather_partial(A.areas + off, cells, m);
+        C area[W];
+        for (int l = 0; l < W; ++l) {
+            idx[l] = A.nbr[off + lane_cell[l]];
+            area[l] = slot_area(A.nbr, A.n, SLOT, lane_cell[l], lane_level[l],
+                                xd ? A.wx : A.wy);
+        }
+        const cpk a = cpk::load(area);
         const auto gather_state = [&](const S* p) {
             const spk s = spk::gather(p, idx);
             return s.template convert<C>();
@@ -204,19 +232,18 @@ inline constexpr int kTilePadCells = kTilePad * kTilePad;
     return (jj + 1) * kTilePad + (ii + 1);
 }
 
-/// One sweepable tile: its source map plus its level's full face widths
-/// (regular cells never see a fine sub-face, so the area is a per-tile
-/// broadcast instead of a per-slot table). Bit jj * kTileSize + ii of
+/// One sweepable tile: its source map plus its level. Regular cells never
+/// see a fine sub-face, so every face of the tile has its level's full
+/// width: a per-tile broadcast from the sweep's per-level width tables, at
+/// whichever compute precision the sweep runs. Bit jj * kTileSize + ii of
 /// `regular` names interior position (ii, jj).
-template <typename C>
 struct TileBlock {
     /// kTilePadCells gather map: each member's own index, and at each
     /// position across a member side that holds exactly one neighbor,
     /// that neighbor; -1 everywhere else (never read by a regular cell).
     const std::int32_t* src;
     std::uint64_t regular;  ///< members the dense sweep computes
-    C wx;                   ///< x-face area = cell_dy(level)
-    C wy;                   ///< y-face area = cell_dx(level)
+    std::int32_t level;     ///< every member's level
 };
 
 template <typename S, typename C>
@@ -227,8 +254,10 @@ struct TileSweepArgs {
     C* dh;
     C* dhu;
     C* dhv;
-    const TileBlock<C>* blocks;
+    const TileBlock* blocks;
     std::size_t nblocks;
+    const C* wx;  // per-level x-face width (cell_dy)
+    const C* wy;  // per-level y-face width (cell_dx)
     C gravity;
 };
 
@@ -236,7 +265,9 @@ struct TileSweepArgs {
 /// regular members only (irregular members are someone else's fallback
 /// run). ~11 KB of stack scratch per call — no heap, no sharing.
 template <typename S, typename C, int W>
-inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
+inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock& B) {
+    const C wx = A.wx[B.level];
+    const C wy = A.wy[B.level];
     const C g = A.gravity;
     const C half = C(0.5);
     const C half_g = C(0.5) * A.gravity;
@@ -316,7 +347,7 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
                              half * s * (qx[p] - qx[p - 1]);
                 const C f3 = half * (mx[p - 1] + mx[p]) -
                              half * s * (qy[p] - qy[p - 1]);
-                const C sa = -B.wx;
+                const C sa = -wx;
                 ddh = ddh - sa * f1;
                 ddhu = ddhu - sa * f2;
                 ddhv = ddhv - sa * f3;
@@ -329,7 +360,7 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
                              half * s * (qx[p + 1] - qx[p]);
                 const C f3 = half * (mx[p] + mx[p + 1]) -
                              half * s * (qy[p + 1] - qy[p]);
-                const C sa = B.wx;
+                const C sa = wx;
                 ddh = ddh - sa * f1;
                 ddhu = ddhu - sa * f2;
                 ddhv = ddhv - sa * f3;
@@ -343,7 +374,7 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
                     half * (py[q] + py[p]) - half * s * (qy[p] - qy[q]);
                 const C f3 =
                     half * (my[q] + my[p]) - half * s * (qx[p] - qx[q]);
-                const C sa = -B.wy;
+                const C sa = -wy;
                 ddh = ddh - sa * f1;
                 ddhu = ddhu - sa * f3;  // y faces swap the momentum rows
                 ddhv = ddhv - sa * f2;
@@ -357,7 +388,7 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
                     half * (py[p] + py[q]) - half * s * (qy[q] - qy[p]);
                 const C f3 =
                     half * (my[p] + my[q]) - half * s * (qx[q] - qx[p]);
-                const C sa = B.wy;
+                const C sa = wy;
                 ddh = ddh - sa * f1;
                 ddhu = ddhu - sa * f3;
                 ddhv = ddhv - sa * f2;

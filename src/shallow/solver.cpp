@@ -66,7 +66,8 @@ void shadow_flux_cell(const detail::FluxArgs<S, C>& A, std::size_t c,
         const bool pos = (slot & 2) != 0;
         const std::size_t off = static_cast<std::size_t>(slot) * A.n + c;
         const auto nidx = static_cast<std::size_t>(A.nbr[off]);
-        const double a = static_cast<double>(A.areas[off]);
+        const double a = static_cast<double>(detail::slot_area(
+            A.nbr, A.n, slot, c, A.cells[c].level, xd ? A.wx : A.wy));
         const double hN = std::max(static_cast<double>(A.h[nidx]), hfloor);
         const double huN = static_cast<double>(A.hu[nidx]);
         const double hvN = static_cast<double>(A.hv[nidx]);
@@ -124,6 +125,15 @@ ShallowWaterSolver<Policy>::ShallowWaterSolver(const Config& config)
             "ShallowWaterSolver: max_level must be in [0, " +
             std::to_string(kMaxSupportedLevel) + "], got " +
             std::to_string(config.geom.max_level));
+    for (std::int32_t l = 0; l <= config.geom.max_level + 1; ++l) {
+        const auto k = static_cast<std::size_t>(l);
+        width_x_[k] = static_cast<compute_t>(mesh_.cell_dy(l));
+        width_y_[k] = static_cast<compute_t>(mesh_.cell_dx(l));
+        width_x_alt_[k] = static_cast<alt_compute_t>(width_x_[k]);
+        width_y_alt_[k] = static_cast<alt_compute_t>(width_y_[k]);
+        inv_area_by_level_[k] = static_cast<compute_t>(
+            1.0 / (mesh_.cell_dx(l) * mesh_.cell_dy(l)));
+    }
     const std::size_t n = mesh_.num_cells();
     h_.assign(n, storage_t(0));
     hu_.assign(n, storage_t(0));
@@ -132,83 +142,70 @@ ShallowWaterSolver<Policy>::ShallowWaterSolver(const Config& config)
 }
 
 // Resolve one cell's neighbor slots straight off the Morton-sorted leaf
-// list. Slot layout and sub-face order reproduce the historic face-scan
-// bit-for-bit: 0/1 = west sub-faces, 2/3 = east, 4/5 = south, 6/7 = north,
-// with the lower-coordinate sub-face first (that is the Morton order the
-// face lists pushed them in). Areas are the fine side's cell width, cast
-// from the same double the face builder produced, so the tables built here
-// are element-wise identical to a face-scan rebuild.
+// list. Slot layout and sub-face order reproduce the face scan: 0/1 =
+// west sub-faces, 2/3 = east, 4/5 = south, 6/7 = north, with the
+// lower-coordinate sub-face first (that is the Morton order the face
+// lists push them in), so the tables built here are element-wise
+// identical to a face-scan rebuild.
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::resolve_cell_slots(std::int32_t c,
-                                                    std::int32_t* idx,
-                                                    compute_t* area) const {
+                                                    std::int32_t* idx) const {
     for (int base = 0; base < kSlots; base += 2)
-        resolve_cell_side(c, base, idx + base, area + base);
+        resolve_cell_side(c, base, idx + base);
 }
 
 // One covering lookup per side. Under 2:1 balance the covering leaf is at
-// level l (same), l-1 (coarser: one sub-face, area = our width), or l+1
-// (finer: two sub-faces, both leaves by balance). The widths are the same
-// double expressions the face builder evaluated, so the slots produced
-// here are bit-identical to a face-scan rebuild.
+// level l (same), l-1 (coarser: one sub-face), or l+1 (finer: two
+// sub-faces, both leaves by balance). A side with no neighbor (the domain
+// edge) and the unused second slot of a one-neighbor side name the cell
+// itself.
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::resolve_cell_side(std::int32_t c, int base,
-                                                   std::int32_t* idx,
-                                                   compute_t* area) const {
+                                                   std::int32_t* idx) const {
     const auto& cells = mesh_.cells();
     const mesh::Cell& cell = cells[static_cast<std::size_t>(c)];
     const std::int32_t l = cell.level;
     const auto& g = mesh_.geometry();
     idx[0] = c;
     idx[1] = c;
-    area[0] = compute_t(0);
-    area[1] = compute_t(0);
     std::int32_t ni, nj, fa_i, fa_j, fb_i, fb_j;
-    double w_same, w_fine;
     switch (base) {
     case 0:  // west
         if (cell.i == 0) return;
         ni = cell.i - 1, nj = cell.j;
         fa_i = 2 * cell.i - 1, fa_j = 2 * cell.j;
         fb_i = 2 * cell.i - 1, fb_j = 2 * cell.j + 1;
-        w_same = mesh_.cell_dy(l), w_fine = mesh_.cell_dy(l + 1);
         break;
     case 2:  // east
         if (cell.i + 1 >= (g.coarse_nx << l)) return;
         ni = cell.i + 1, nj = cell.j;
         fa_i = 2 * cell.i + 2, fa_j = 2 * cell.j;
         fb_i = 2 * cell.i + 2, fb_j = 2 * cell.j + 1;
-        w_same = mesh_.cell_dy(l), w_fine = mesh_.cell_dy(l + 1);
         break;
     case 4:  // south
         if (cell.j == 0) return;
         ni = cell.i, nj = cell.j - 1;
         fa_i = 2 * cell.i, fa_j = 2 * cell.j - 1;
         fb_i = 2 * cell.i + 1, fb_j = 2 * cell.j - 1;
-        w_same = mesh_.cell_dx(l), w_fine = mesh_.cell_dx(l + 1);
         break;
     default:  // 6, north
         if (cell.j + 1 >= (g.coarse_ny << l)) return;
         ni = cell.i, nj = cell.j + 1;
         fa_i = 2 * cell.i, fa_j = 2 * cell.j + 2;
         fb_i = 2 * cell.i + 1, fb_j = 2 * cell.j + 2;
-        w_same = mesh_.cell_dx(l), w_fine = mesh_.cell_dx(l + 1);
         break;
     }
     const std::int32_t q = mesh_.covering_leaf_near(c, l, ni, nj);
     if (cells[static_cast<std::size_t>(q)].level <= l) {
         idx[0] = q;
-        area[0] = static_cast<compute_t>(w_same);
     } else {
         idx[0] = mesh_.leaf_index_near(q, l + 1, fa_i, fa_j);
         idx[1] = mesh_.leaf_index_near(q, l + 1, fb_i, fb_j);
-        area[0] = static_cast<compute_t>(w_fine);
-        area[1] = static_cast<compute_t>(w_fine);
     }
 }
 
-// Shared tail of every cache builder: per-level inverse areas, increment
-// buffer sizing, compute_dt's level runs, and the flux-sweep tiles.
+// Shared tail of every cache builder: increment buffer sizing, compute_dt's
+// and apply_update's level runs, and the flux-sweep tiles.
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
     const std::size_t n = mesh_.num_cells();
@@ -220,27 +217,12 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
     dhv_.resize(n);
     cfl_buf_.resize(n);
 
-    // cell_area depends only on the level, so 1/area is a tiny per-level
-    // table; the per-cell fill is a gather from L1 instead of a divide.
-    // The table entries are the same double expression the per-cell divide
-    // evaluated, so the cached values are bit-identical.
-    std::array<compute_t, kMaxSupportedLevel + 1> inv_by_level{};
-    for (std::int32_t l = 0; l <= config_.geom.max_level; ++l)
-        inv_by_level[static_cast<std::size_t>(l)] = static_cast<compute_t>(
-            1.0 / (mesh_.cell_dx(l) * mesh_.cell_dy(l)));
-    inv_area_.resize(n);
-    const auto& cells = mesh_.cells();
-    const auto ni = static_cast<std::int64_t>(n);
-    compute_t* inv = inv_area_.data();
-    const mesh::Cell* cell = cells.data();
-#pragma omp parallel for schedule(static)
-    for (std::int64_t c = 0; c < ni; ++c)
-        inv[c] = inv_by_level[static_cast<std::size_t>(cell[c].level)];
-
     // Maximal runs of consecutive same-level cells (the Morton order keeps
-    // same-level cells contiguous, so runs are long): compute_dt
-    // broadcasts the per-level spacing per run, keeping its inner loop
-    // gather-free. clear() + push_back reuses capacity across rezones.
+    // same-level cells contiguous, so runs are long): compute_dt and
+    // apply_update broadcast the per-level spacing and inverse area per
+    // run, keeping their inner loops gather-free. clear() + push_back
+    // reuses capacity across rezones.
+    const auto& cells = mesh_.cells();
     level_runs_.clear();
     for (std::size_t c = 0; c < n;) {
         std::size_t e = c + 1;
@@ -251,9 +233,6 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
         c = e;
     }
     rebuild_tiles();
-    // The alt-precision tables mirror the ones rebuilt above; they are
-    // refreshed lazily on the next governed sweep that needs them.
-    alt_tables_stale_ = true;
 }
 
 // Derive the flux sweep's tiles from the slot tables in one pass over the
@@ -267,14 +246,13 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
 // side whose slot pair holds exactly one neighbor (the first slot names
 // another cell and the second is empty, i.e. names the cell itself: the
 // neighbor is in-domain and same-or-coarser), that neighbor at the
-// adjacent position. Every other position stays -1. Only the index
-// planes are read: an empty slot's zero area always comes with the self
-// index. A member whose four sides all hold exactly one neighbor is
-// regular: the tile kernel reads only its own position and those four,
-// which hold exactly the cells its slots name. Dense tiles carry their
-// regular members; every other cell — irregular members plus all members
-// of sparse tiles — lands in the sorted fallback list that
-// flux_block_gather walks W cells per pack.
+// adjacent position. Every other position stays -1. A member whose four
+// sides all hold exactly one neighbor is regular: the tile kernel reads
+// only its own position and those four, which hold exactly the cells its
+// slots name. Dense tiles carry their level and their regular members;
+// every other cell — irregular members plus all members of sparse tiles —
+// lands in the sorted fallback list that flux_block_gather walks W cells
+// per pack.
 //
 // Every tile lies inside one level-0 tile region (the Morton-aligned
 // block of kTileSize^2 coarse cells around it), and a region's cells are
@@ -310,28 +288,17 @@ void ShallowWaterSolver<Policy>::rebuild_tiles() {
     tile_src_.swap(tile_parts_.front().src);
     fallback_cells_.swap(tile_parts_.front().fallback);
     tile_blocks_.clear();
-    tile_blocks_alt_.clear();
     for (std::size_t k = 0; k < nparts; ++k) {
         const TilePart& part = tile_parts_[k];
-        // Alt areas double-cast through compute_t, matching
-        // prepare_alt_tables.
-        for (const detail::TileBlock<compute_t>& b : part.blocks) {
-            tile_blocks_.push_back(b);
-            tile_blocks_alt_.push_back({nullptr, b.regular,
-                                        static_cast<alt_compute_t>(b.wx),
-                                        static_cast<alt_compute_t>(b.wy)});
-        }
+        tile_blocks_.insert(tile_blocks_.end(), part.blocks.begin(),
+                            part.blocks.end());
         if (k == 0) continue;
         tile_src_.insert(tile_src_.end(), part.src.begin(), part.src.end());
         fallback_cells_.insert(fallback_cells_.end(), part.fallback.begin(),
                                part.fallback.end());
     }
-    for (std::size_t b = 0; b < tile_blocks_.size(); ++b) {
-        const std::int32_t* src =
-            tile_src_.data() + b * detail::kTilePadCells;
-        tile_blocks_[b].src = src;
-        tile_blocks_alt_[b].src = src;
-    }
+    for (std::size_t b = 0; b < tile_blocks_.size(); ++b)
+        tile_blocks_[b].src = tile_src_.data() + b * detail::kTilePadCells;
 }
 
 // One thread's share of rebuild_tiles: the cells [begin, end), which start
@@ -366,13 +333,10 @@ void ShallowWaterSolver<Policy>::derive_tiles(std::size_t begin,
         OpenTile& t = open[static_cast<std::size_t>(level)];
         const bool dense = std::popcount(t.regular) >= kMinTileRegular;
         if (dense) {
-            // The full same-level face widths, cast exactly as the slot
-            // tables cast them. The src pointers are set once the tiles
-            // of all parts sit in tile_src_.
-            const auto wx = static_cast<compute_t>(mesh_.cell_dy(level));
-            const auto wy = static_cast<compute_t>(mesh_.cell_dx(level));
+            // The src pointers are set once the tiles of all parts sit in
+            // tile_src_.
             part.src.insert(part.src.end(), t.src.begin(), t.src.end());
-            part.blocks.push_back({nullptr, t.regular, wx, wy});
+            part.blocks.push_back({nullptr, t.regular, level});
         }
         std::uint64_t rest = dense ? (t.members & ~t.regular) : t.members;
         while (rest != 0) {
@@ -435,25 +399,18 @@ void ShallowWaterSolver<Policy>::rebuild_topology_caches() {
     const std::size_t n = mesh_.num_cells();
     const std::size_t slots = static_cast<std::size_t>(kSlots) * n;
     util::reserve_for_refill(nbr_idx_, slots);
-    util::reserve_for_refill(nbr_area_, slots);
     nbr_idx_.resize(slots);
-    nbr_area_.resize(slots);
     std::int32_t* nidx = nbr_idx_.data();
-    compute_t* narea = nbr_area_.data();
     const auto ni = static_cast<std::int64_t>(n);
     // Every cell resolves and writes only its own slots: threads cleanly,
     // and the result does not depend on the team size.
 #pragma omp parallel for schedule(static)
     for (std::int64_t c = 0; c < ni; ++c) {
         std::int32_t idx[kSlots];
-        compute_t area[kSlots];
-        resolve_cell_slots(static_cast<std::int32_t>(c), idx, area);
-        for (int s = 0; s < kSlots; ++s) {
+        resolve_cell_slots(static_cast<std::int32_t>(c), idx);
+        for (int s = 0; s < kSlots; ++s)
             nidx[static_cast<std::size_t>(s) * n +
                  static_cast<std::size_t>(c)] = idx[s];
-            narea[static_cast<std::size_t>(s) * n +
-                  static_cast<std::size_t>(c)] = area[s];
-        }
     }
     rebuild_iteration_space();
 }
@@ -497,13 +454,9 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
 
     const std::size_t slots = static_cast<std::size_t>(kSlots) * n;
     util::reserve_for_refill(nbr_idx_back_, slots);
-    util::reserve_for_refill(nbr_area_back_, slots);
     nbr_idx_back_.resize(slots);
-    nbr_area_back_.resize(slots);
     const std::int32_t* oidx = nbr_idx_.data();
-    const compute_t* oarea = nbr_area_.data();
     std::int32_t* nidx = nbr_idx_back_.data();
-    compute_t* narea = nbr_area_back_.data();
     const mesh::RemapEntry* entries = plan.entries.data();
     const auto ni = static_cast<std::int64_t>(n);
     std::int64_t resolved = 0;
@@ -513,12 +466,10 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
     // translate every old slot through the offset map (self-slots land on
     // ourselves since o2n[src] is this cell) and fall back to a full
     // resolve only when a dead neighbor (-1) shows the span is dirty.
-    // Copying the old area bits is exact: same face, same level, same
-    // double.
     //
-    // The translate streams one slot plane at a time so both tables move
-    // at memcpy-like sequential speed (the slot-major layout would make a
-    // per-cell loop take 16 strided touches); the planes share one thread
+    // The translate streams one slot plane at a time so the table moves
+    // at sequential speed (the slot-major layout would make a per-cell
+    // loop take 8 strided touches); the planes share one thread
     // team, which forks once and meets at a barrier after each plane. A
     // dead translated neighbor sets the cell's dirty byte, and a second
     // per-cell pass resolves the dirty remainder (plus everything outside
@@ -528,16 +479,10 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
 #pragma omp parallel
     for (int s = 0; s < kSlots; ++s) {
         const std::int32_t* op = oidx + static_cast<std::size_t>(s) * old_n;
-        const compute_t* oa = oarea + static_cast<std::size_t>(s) * old_n;
         std::int32_t* np = nidx + static_cast<std::size_t>(s) * n;
-        compute_t* na = narea + static_cast<std::size_t>(s) * n;
 #pragma omp for schedule(static)
         for (std::int64_t sp = 0; sp < nspans; ++sp) {
             const mesh::CopySpan span = plan.copy_spans[sp];
-            const std::size_t len =
-                static_cast<std::size_t>(span.end - span.begin);
-            std::memcpy(na + span.begin, oa + (span.begin - span.shift),
-                        len * sizeof(compute_t));
             for (std::int32_t c = span.begin; c < span.end; ++c) {
                 const std::int32_t m = o2n[op[c - span.shift]];
                 np[c] = m;
@@ -552,14 +497,10 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
         ++resolved;
         if (!copy) {
             std::int32_t idx[kSlots];
-            compute_t area[kSlots];
-            resolve_cell_slots(static_cast<std::int32_t>(c), idx, area);
-            for (int s = 0; s < kSlots; ++s) {
+            resolve_cell_slots(static_cast<std::int32_t>(c), idx);
+            for (int s = 0; s < kSlots; ++s)
                 nidx[static_cast<std::size_t>(s) * n +
                      static_cast<std::size_t>(c)] = idx[s];
-                narea[static_cast<std::size_t>(s) * n +
-                      static_cast<std::size_t>(c)] = area[s];
-            }
             continue;
         }
         // Dirty Copy cell: a side's structure can only have changed if an
@@ -572,16 +513,12 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
             const std::size_t s1 = s0 + n;
             if (nidx[s0] >= 0 && nidx[s1] >= 0) continue;
             std::int32_t idx2[2];
-            compute_t area2[2];
-            resolve_cell_side(static_cast<std::int32_t>(c), base, idx2, area2);
+            resolve_cell_side(static_cast<std::int32_t>(c), base, idx2);
             nidx[s0] = idx2[0];
-            narea[s0] = area2[0];
             nidx[s1] = idx2[1];
-            narea[s1] = area2[1];
         }
     }
     nbr_idx_.swap(nbr_idx_back_);
-    nbr_area_.swap(nbr_area_back_);
     rebuild_iteration_space();
     return static_cast<std::size_t>(resolved);
 }
@@ -589,12 +526,11 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
 template <fp::PrecisionPolicy Policy>
 bool ShallowWaterSolver<Policy>::topology_caches_consistent() const {
     const std::size_t n = mesh_.num_cells();
-    if (nbr_idx_.size() != static_cast<std::size_t>(kSlots) * n ||
-        nbr_area_.size() != nbr_idx_.size() || inv_area_.size() != n)
-        return false;
-    // Reference tables via the historic face-scan into scratch storage.
+    if (nbr_idx_.size() != static_cast<std::size_t>(kSlots) * n) return false;
+    // Reference tables via a face scan into scratch storage: each side's
+    // first slot fills first, and an unfilled slot names the cell itself.
     std::vector<std::int32_t> ridx(nbr_idx_.size());
-    std::vector<compute_t> rarea(nbr_area_.size(), compute_t(0));
+    std::vector<compute_t> rarea(nbr_idx_.size(), compute_t(0));
     for (std::size_t c = 0; c < n; ++c)
         for (int slot = 0; slot < kSlots; ++slot)
             ridx[static_cast<std::size_t>(slot) * n + c] =
@@ -603,9 +539,8 @@ bool ShallowWaterSolver<Policy>::topology_caches_consistent() const {
                            double area) {
         const auto c = static_cast<std::size_t>(cell);
         const int slot =
-            rarea[static_cast<std::size_t>(base) * n + c] == compute_t(0)
-                ? base
-                : base + 1;
+            ridx[static_cast<std::size_t>(base) * n + c] == cell ? base
+                                                                 : base + 1;
         ridx[static_cast<std::size_t>(slot) * n + c] = nbr;
         rarea[static_cast<std::size_t>(slot) * n + c] =
             static_cast<compute_t>(area);
@@ -618,12 +553,22 @@ bool ShallowWaterSolver<Policy>::topology_caches_consistent() const {
         assign_slot(f.lo, 6, f.hi, f.area);
         assign_slot(f.hi, 4, f.lo, f.area);
     }
-    if (ridx != nbr_idx_ || rarea != nbr_area_) return false;
+    if (ridx != nbr_idx_) return false;
+    // The areas the kernels derive from the live planes must be the face
+    // builder's, and the per-level inverse areas the cells' own.
     const auto& cells = mesh_.cells();
-    for (std::size_t c = 0; c < n; ++c)
-        if (inv_area_[c] !=
+    for (std::size_t c = 0; c < n; ++c) {
+        const std::int32_t level = cells[c].level;
+        for (int slot = 0; slot < kSlots; ++slot)
+            if (detail::slot_area(nbr_idx_.data(), n, slot, c, level,
+                                  slot < 4 ? width_x_.data()
+                                           : width_y_.data()) !=
+                rarea[static_cast<std::size_t>(slot) * n + c])
+                return false;
+        if (inv_area_by_level_[static_cast<std::size_t>(level)] !=
             static_cast<compute_t>(1.0 / mesh_.cell_area(cells[c])))
             return false;
+    }
     // Level runs must exactly tile [0, n) into maximal same-level runs.
     std::size_t at = 0;
     for (const detail::LevelRun& run : level_runs_) {
@@ -663,18 +608,14 @@ void ShallowWaterSolver<Policy>::initialize_dam_break(const DamBreak& ic) {
     // Pre-refine around the initial discontinuity: one pass per allowed
     // level, re-evaluating the analytic state on the refined mesh so the
     // initial column edge is resolved at the finest level (CLAMR's initial
-    // rezone does the same).
-    bool changed = false;
+    // rezone does the same). Each pass flags off the slot tables and
+    // updates them for the adapted mesh, as a rezone does.
     for (std::int32_t pass = 0; pass < config_.geom.max_level; ++pass) {
-        // Face-scan flags here: the neighbor-slot tables are rebuilt only
-        // once after the whole pre-refine loop, so they are stale inside
-        // it, while the (lazily rebuilt) face lists are always current.
-        compute_refinement_flags_facescan(flags_scratch_);
+        compute_refinement_flags(flags_scratch_);
         // Never coarsen during initialization.
         for (auto& f : flags_scratch_)
             if (f == mesh::kCoarsenFlag) f = mesh::kKeepFlag;
         mesh_.adapt(flags_scratch_, plan_);
-        changed |= !plan_.is_identity();
         // resize, not assign: apply_ic overwrites every cell, so zero-fill
         // would be pure churn, and the vectors keep their capacity across
         // the warm-up passes instead of reallocating on each one.
@@ -682,10 +623,8 @@ void ShallowWaterSolver<Policy>::initialize_dam_break(const DamBreak& ic) {
         hu_.resize(mesh_.num_cells());
         hv_.resize(mesh_.num_cells());
         apply_ic(ic);
+        update_topology_caches(plan_);
     }
-    // The caches always match the mesh they were last built for, so only
-    // a pre-refine pass that changed the mesh makes them stale.
-    if (changed) rebuild_topology_caches();
     time_ = 0.0;
     step_count_ = 0;
 }
@@ -697,7 +636,6 @@ void ShallowWaterSolver<Policy>::compute_refinement_flags(
     flags.resize(n);
     const storage_t* h = h_.data();
     const std::int32_t* nbr = nbr_idx_.data();
-    const compute_t* narea = nbr_area_.data();
     std::int8_t* out = flags.data();
     const double refine_t = config_.refine_threshold;
     const double coarsen_t = config_.coarsen_threshold;
@@ -714,7 +652,7 @@ void ShallowWaterSolver<Policy>::compute_refinement_flags(
         for (int s = 0; s < kSlots; ++s) {
             const std::size_t o = static_cast<std::size_t>(s) * n +
                                   static_cast<std::size_t>(c);
-            if (narea[o] == compute_t(0)) continue;  // empty slot
+            if (nbr[o] == c) continue;  // empty slot
             const double hn = static_cast<double>(h[nbr[o]]);
             const double ref = std::max({ahc, std::fabs(hn), 1e-12});
             jump = std::max(jump, std::fabs(hc - hn) / ref);
@@ -725,41 +663,6 @@ void ShallowWaterSolver<Policy>::compute_refinement_flags(
             out[c] = mesh::kCoarsenFlag;
         else
             out[c] = mesh::kKeepFlag;
-    }
-}
-
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::compute_refinement_flags_facescan(
-    std::vector<std::int8_t>& flags) const {
-    const std::size_t n = mesh_.num_cells();
-    // Arena scratch: the jump buffer is reused across the pre-refine
-    // passes instead of hitting the heap on each one.
-    util::ScratchArena& arena = util::tls_arena();
-    util::ArenaScope scope(arena);
-    double* jump = arena.alloc<double>(n);
-    std::fill_n(jump, n, 0.0);
-    auto scan = [&](const std::vector<mesh::Face>& faces) {
-        for (const mesh::Face& f : faces) {
-            const double hl = static_cast<double>(h_[f.lo]);
-            const double hr = static_cast<double>(h_[f.hi]);
-            const double ref =
-                std::max({std::fabs(hl), std::fabs(hr), 1e-12});
-            const double rel = std::fabs(hl - hr) / ref;
-            jump[static_cast<std::size_t>(f.lo)] =
-                std::max(jump[static_cast<std::size_t>(f.lo)], rel);
-            jump[static_cast<std::size_t>(f.hi)] =
-                std::max(jump[static_cast<std::size_t>(f.hi)], rel);
-        }
-    };
-    scan(mesh_.x_faces());
-    scan(mesh_.y_faces());
-
-    flags.assign(n, mesh::kKeepFlag);
-    for (std::size_t c = 0; c < n; ++c) {
-        if (jump[c] > config_.refine_threshold)
-            flags[c] = mesh::kRefineFlag;
-        else if (jump[c] < config_.coarsen_threshold)
-            flags[c] = mesh::kCoarsenFlag;
     }
 }
 
@@ -836,10 +739,8 @@ void ShallowWaterSolver<Policy>::rezone() {
     const std::uint64_t old_cells = mesh_.num_cells();
     const auto threads = static_cast<std::uint32_t>(util::max_threads());
     constexpr std::uint64_t ss = sizeof(storage_t);
-    constexpr std::uint64_t sc = sizeof(compute_t);
-    // Per-slot table traffic: index + area entry.
-    constexpr std::uint64_t slot_bytes =
-        kSlots * (sizeof(std::int32_t) + sc);
+    // Per-cell slot table traffic: one index per slot.
+    constexpr std::uint64_t slot_bytes = kSlots * sizeof(std::int32_t);
 
     // Phase 1: refinement flags, read per cell off the slot tables.
     obs::Phase flags("clamr.rezone_flags", timers_, "rezone_flags", "rezone");
@@ -878,9 +779,7 @@ void ShallowWaterSolver<Policy>::rezone() {
     const std::size_t resolved = update_topology_caches(plan);
     const double s_cache = cache.stop();
     const std::uint64_t cache_bytes =
-        moved ? (old_cells + new_cells) * slot_bytes + old_cells * 4 +
-                    new_cells * (sc + 4)
-              : 0;
+        moved ? (old_cells + new_cells) * (slot_bytes + 4) : 0;
     ledger_.record("rezone_cache", s_cache, 0, 0, cache_bytes, 0, 0,
                    threads);
     rezone_stats_.rezones += 1;
@@ -995,9 +894,10 @@ double ShallowWaterSolver<Policy>::compute_dt() {
 template <fp::PrecisionPolicy Policy>
 detail::FluxArgs<typename Policy::storage_t, typename Policy::compute_t>
 ShallowWaterSolver<Policy>::flux_args() {
-    return {h_.data(),       hu_.data(),       hv_.data(),
-            dh_.data(),      dhu_.data(),      dhv_.data(),
-            nbr_idx_.data(), nbr_area_.data(), mesh_.num_cells(),
+    return {h_.data(),       hu_.data(),           hv_.data(),
+            dh_.data(),      dhu_.data(),          dhv_.data(),
+            nbr_idx_.data(), mesh_.cells().data(), width_x_.data(),
+            width_y_.data(), mesh_.num_cells(),
             static_cast<compute_t>(config_.gravity)};
 }
 
@@ -1006,8 +906,8 @@ auto ShallowWaterSolver<Policy>::tile_args()
     -> detail::TileSweepArgs<storage_t, compute_t> {
     return {h_.data(),           hu_.data(),          hv_.data(),
             dh_.data(),          dhu_.data(),         dhv_.data(),
-            tile_blocks_.data(), tile_blocks_.size(),
-            static_cast<compute_t>(config_.gravity)};
+            tile_blocks_.data(), tile_blocks_.size(), width_x_.data(),
+            width_y_.data(),     static_cast<compute_t>(config_.gravity)};
 }
 
 // The flux sweep: dense unit-stride tiles for the regular cells,
@@ -1048,7 +948,6 @@ void ShallowWaterSolver<Policy>::set_governor(
     fp::PrecisionGovernor* governor) {
     governor_ = governor;
     gov_flux_id_ = -1;
-    alt_tables_stale_ = true;
     if (governor_ != nullptr && governor_->enabled())
         gov_flux_id_ = governor_->register_kernel("clamr.flux_sweep");
 }
@@ -1056,33 +955,11 @@ void ShallowWaterSolver<Policy>::set_governor(
 template <fp::PrecisionPolicy Policy>
 auto ShallowWaterSolver<Policy>::flux_args_alt()
     -> detail::FluxArgs<storage_t, alt_compute_t> {
-    return {h_.data(),       hu_.data(),           hv_.data(),
-            dh_alt_.data(),  dhu_alt_.data(),      dhv_alt_.data(),
-            nbr_idx_.data(), nbr_area_alt_.data(), mesh_.num_cells(),
+    return {h_.data(),           hu_.data(),           hv_.data(),
+            dh_alt_.data(),      dhu_alt_.data(),      dhv_alt_.data(),
+            nbr_idx_.data(),     mesh_.cells().data(), width_x_alt_.data(),
+            width_y_alt_.data(), mesh_.num_cells(),
             static_cast<alt_compute_t>(config_.gravity)};
-}
-
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::prepare_alt_tables() {
-    if (!alt_tables_stale_) return;
-    const std::size_t n = mesh_.num_cells();
-    // The sweep stores (not accumulates) each cell's increments, so the
-    // buffers need sizing only — every entry is overwritten by the sweep.
-    dh_alt_.resize(n);
-    dhu_alt_.resize(n);
-    dhv_alt_.resize(n);
-    // Neighbor areas on the alt lattice. Promoting a float table to
-    // double is exact; demoting a double table rounds each entry to the
-    // same float a static float-compute build computes (the cache fill
-    // evaluates the area expression in double and casts once).
-    nbr_area_alt_.resize(nbr_area_.size());
-    const compute_t* src = nbr_area_.data();
-    alt_compute_t* dst = nbr_area_alt_.data();
-    const auto na = static_cast<std::int64_t>(nbr_area_.size());
-#pragma omp parallel for simd schedule(static)
-    for (std::int64_t i = 0; i < na; ++i)
-        dst[i] = static_cast<alt_compute_t>(src[i]);
-    alt_tables_stale_ = false;
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -1105,10 +982,10 @@ void ShallowWaterSolver<Policy>::fold_alt_increments() {
 template <fp::PrecisionPolicy Policy>
 auto ShallowWaterSolver<Policy>::tile_args_alt()
     -> detail::TileSweepArgs<storage_t, alt_compute_t> {
-    return {h_.data(),      hu_.data(),      hv_.data(),
-            dh_alt_.data(), dhu_alt_.data(), dhv_alt_.data(),
-            tile_blocks_alt_.data(), tile_blocks_alt_.size(),
-            static_cast<alt_compute_t>(config_.gravity)};
+    return {h_.data(),           hu_.data(),          hv_.data(),
+            dh_alt_.data(),      dhu_alt_.data(),     dhv_alt_.data(),
+            tile_blocks_.data(), tile_blocks_.size(), width_x_alt_.data(),
+            width_y_alt_.data(), static_cast<alt_compute_t>(config_.gravity)};
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -1192,29 +1069,34 @@ void ShallowWaterSolver<Policy>::boundary_fluxes() {
 
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::apply_update(double dt) {
-    const std::size_t n = mesh_.num_cells();
     storage_t* h = h_.data();
     storage_t* hu = hu_.data();
     storage_t* hv = hv_.data();
     compute_t* dh = dh_.data();
     compute_t* dhu = dhu_.data();
     compute_t* dhv = dhv_.data();
-    const compute_t* inv_area = inv_area_.data();
     const compute_t dtc = static_cast<compute_t>(dt);
     const compute_t hfloor = static_cast<compute_t>(1e-8);
-
-#pragma omp parallel for simd schedule(static)
-    for (std::size_t c = 0; c < n; ++c) {
-        const compute_t s = dtc * inv_area[c];
-        h[c] = static_cast<storage_t>(
-            std::max(static_cast<compute_t>(h[c]) + s * dh[c], hfloor));
-        hu[c] = static_cast<storage_t>(static_cast<compute_t>(hu[c]) +
-                                       s * dhu[c]);
-        hv[c] = static_cast<storage_t>(static_cast<compute_t>(hv[c]) +
-                                       s * dhv[c]);
-        dh[c] = compute_t(0);
-        dhu[c] = compute_t(0);
-        dhv[c] = compute_t(0);
+    const detail::LevelRun* runs = level_runs_.data();
+    const auto nruns = static_cast<std::int64_t>(level_runs_.size());
+    // 1/area is a run constant, like compute_dt's spacing.
+#pragma omp parallel for schedule(static)
+    for (std::int64_t r = 0; r < nruns; ++r) {
+        const detail::LevelRun run = runs[r];
+        const compute_t s =
+            dtc * inv_area_by_level_[static_cast<std::size_t>(run.level)];
+#pragma omp simd
+        for (std::int32_t c = run.begin; c < run.end; ++c) {
+            h[c] = static_cast<storage_t>(
+                std::max(static_cast<compute_t>(h[c]) + s * dh[c], hfloor));
+            hu[c] = static_cast<storage_t>(static_cast<compute_t>(hu[c]) +
+                                           s * dhu[c]);
+            hv[c] = static_cast<storage_t>(static_cast<compute_t>(hv[c]) +
+                                           s * dhv[c]);
+            dh[c] = compute_t(0);
+            dhu[c] = compute_t(0);
+            dhv[c] = compute_t(0);
+        }
     }
 }
 
@@ -1275,19 +1157,26 @@ void ShallowWaterSolver<Policy>::shadow_profile_flux_sweep() {
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::shadow_capture_apply_update() {
     const auto stride =
-        static_cast<std::size_t>(obs::shadow_sample_stride());
-    const std::size_t n = mesh_.num_cells();
+        static_cast<std::int32_t>(obs::shadow_sample_stride());
     shadow_idx_.clear();
     shadow_vals_.clear();
-    for (std::size_t c = 0; c < n; c += stride) {
-        shadow_idx_.push_back(static_cast<std::int32_t>(c));
-        shadow_vals_.push_back(static_cast<double>(h_[c]));
-        shadow_vals_.push_back(static_cast<double>(hu_[c]));
-        shadow_vals_.push_back(static_cast<double>(hv_[c]));
-        shadow_vals_.push_back(static_cast<double>(dh_[c]));
-        shadow_vals_.push_back(static_cast<double>(dhu_[c]));
-        shadow_vals_.push_back(static_cast<double>(dhv_[c]));
-        shadow_vals_.push_back(static_cast<double>(inv_area_[c]));
+    // Every stride-th cell, walked run by run so 1/area is read once per
+    // run, as apply_update reads it.
+    for (const detail::LevelRun& run : level_runs_) {
+        const auto inv = static_cast<double>(
+            inv_area_by_level_[static_cast<std::size_t>(run.level)]);
+        std::int32_t c = run.begin + (stride - run.begin % stride) % stride;
+        for (; c < run.end; c += stride) {
+            const auto i = static_cast<std::size_t>(c);
+            shadow_idx_.push_back(c);
+            shadow_vals_.push_back(static_cast<double>(h_[i]));
+            shadow_vals_.push_back(static_cast<double>(hu_[i]));
+            shadow_vals_.push_back(static_cast<double>(hv_[i]));
+            shadow_vals_.push_back(static_cast<double>(dh_[i]));
+            shadow_vals_.push_back(static_cast<double>(dhu_[i]));
+            shadow_vals_.push_back(static_cast<double>(dhv_[i]));
+            shadow_vals_.push_back(inv);
+        }
     }
 }
 
@@ -1407,7 +1296,12 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         obs::Phase sweep("clamr.flux_sweep", timers_, "flux_sweep",
                          "finite_diff");
         if (use_alt) {
-            prepare_alt_tables();
+            // The sweep stores (not accumulates) every cell's
+            // increments, so the alt buffers need sizing only.
+            const std::size_t n = mesh_.num_cells();
+            dh_alt_.resize(n);
+            dhu_alt_.resize(n);
+            dhv_alt_.resize(n);
             if (native) {
                 flux_sweep_alt_native();
             } else {

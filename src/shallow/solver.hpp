@@ -25,6 +25,7 @@
 // vector path. The two are bit-identical per cell, selected at runtime by
 // Config::simd (Table III's vectorization study from one binary).
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -192,8 +193,7 @@ public:
     /// Dense tiles the flux sweep computes, plus the sorted fallback cell
     /// list covering every cell the tiles leave to the slot tables.
     /// Rebuilt on every topology change; exposed for tests.
-    [[nodiscard]] const std::vector<detail::TileBlock<compute_t>>&
-    tile_blocks() const {
+    [[nodiscard]] const std::vector<detail::TileBlock>& tile_blocks() const {
         return tile_blocks_;
     }
     [[nodiscard]] const std::vector<std::int32_t>& fallback_cells() const {
@@ -220,10 +220,10 @@ public:
         return rezone_stats_;
     }
 
-    /// Recompute every topology cache from scratch (the slot tables by a
-    /// scan of the mesh face lists) into scratch buffers and compare
-    /// bit-for-bit with the live caches. Test hook for the incremental
-    /// update.
+    /// Recompute the slot tables and their areas from scratch by a scan of
+    /// the mesh face lists and compare them bit-for-bit with the live index
+    /// planes and the areas slot_area derives from them; check the level
+    /// runs too. Test hook for the incremental update.
     [[nodiscard]] bool topology_caches_consistent() const;
 
     /// Attach (or detach, with nullptr) a runtime precision governor
@@ -244,30 +244,24 @@ private:
     /// Scatter-free threaded flags: each cell takes the max relative
     /// height jump over its own neighbor slots (every interior face
     /// appears in both endpoint cells' slots and the jump measure is
-    /// symmetric, so this equals the historic face-scan bit-for-bit).
+    /// symmetric, so this equals a face scan bit-for-bit).
     void compute_refinement_flags(std::vector<std::int8_t>& flags) const;
-    /// Serial face-scan flags for initialize_dam_break's pre-refine
-    /// passes, where the slot tables are stale but the face lists are not.
-    void compute_refinement_flags_facescan(
-        std::vector<std::int8_t>& flags) const;
     void rezone();
     void remap_state(const mesh::RemapPlan& plan);
     /// Resolve all kSlots neighbor slots of one cell directly from the
-    /// sorted mesh, reproducing the face-scan slot order and area bits.
-    void resolve_cell_slots(std::int32_t c, std::int32_t* idx,
-                            compute_t* area) const;
+    /// sorted mesh, reproducing the face-scan slot order.
+    void resolve_cell_slots(std::int32_t c, std::int32_t* idx) const;
     /// Resolve one side (slot pair base/base+1, base in {0,2,4,6}) of one
-    /// cell; `idx`/`area` receive exactly the two slots of that side.
-    void resolve_cell_side(std::int32_t c, int base, std::int32_t* idx,
-                           compute_t* area) const;
+    /// cell; `idx` receives exactly the two slots of that side.
+    void resolve_cell_side(std::int32_t c, int base, std::int32_t* idx) const;
     /// From-scratch threaded per-cell rebuild (constructor / init).
     void rebuild_topology_caches();
     /// Dirty-span incremental update: translate surviving cells' slots
     /// through the copy-span prefix-offset map, resolve only cells whose
     /// neighborhood changed. Returns the number of cells resolved.
     std::size_t update_topology_caches(const mesh::RemapPlan& plan);
-    /// Rebuild level_runs_/inv_area_/the tiles and size the increment
-    /// buffers for the current mesh (shared tail of every cache builder).
+    /// Rebuild level_runs_ and the tiles and size the increment buffers
+    /// for the current mesh (shared tail of every cache builder).
     void rebuild_iteration_space();
     /// Derive tile_blocks_/fallback_cells_ from the slot tables in one
     /// pass over the cells (part of rebuild_iteration_space).
@@ -275,7 +269,7 @@ private:
     /// One thread's share of the pass: dense tiles (src pointers unset),
     /// their source maps, and the sorted fallback cells of its range.
     struct TilePart {
-        std::vector<detail::TileBlock<compute_t>> blocks;
+        std::vector<detail::TileBlock> blocks;
         std::vector<std::int32_t> src;
         std::vector<std::int32_t> fallback;
     };
@@ -299,9 +293,6 @@ private:
     tile_args_alt();
     void flux_sweep_alt_native();
     void flux_sweep_alt_scalar();  // flux_scalar.cpp (no-autovec TU)
-    /// Lazily (re)build the alt-precision tables — increment buffers and
-    /// neighbor areas cast to alt_compute_t — after a topology change.
-    void prepare_alt_tables();
     void fold_alt_increments();
     /// Governor telemetry: observe a strided sample of flux increments on
     /// the float lattice against an in-order double reference and feed the
@@ -329,49 +320,56 @@ private:
     // swaps, so steady-state refinement churns no allocations.
     std::vector<storage_t> h_back_, hu_back_, hv_back_;
     std::vector<compute_t> dh_, dhu_, dhv_;   // per-step increments
-    std::vector<compute_t> inv_area_;         // 1/area per cell
+    // Per-level geometry, filled once by the constructor from the double
+    // expressions the mesh's face builder evaluates: the x-face width
+    // cell_dy(l) and the y-face width cell_dx(l) for levels up to
+    // max_level + 1 (a cell's finer neighbors), and 1/cell_area. The alt
+    // widths round through compute_t first, so a governed sweep sees the
+    // widths the static policy rounded.
+    static constexpr std::size_t kLevelTable = kMaxSupportedLevel + 2;
+    std::array<compute_t, kLevelTable> width_x_{};
+    std::array<compute_t, kLevelTable> width_y_{};
+    std::array<alt_compute_t, kLevelTable> width_x_alt_{};
+    std::array<alt_compute_t, kLevelTable> width_y_alt_{};
+    std::array<compute_t, kLevelTable> inv_area_by_level_{};
     // Cell-centric neighbor tables (CLAMR's finite_diff shape): for each
     // cell, up to two sub-face neighbors per side in fixed slots
     // (W0,W1,E0,E1,S0,S1,N0,N1), slot-major SoA. Empty slots point at the
-    // cell itself with zero area, keeping the SIMD loop branch-free. Each
-    // cell recomputes its face fluxes and writes only its own increments —
-    // redundant arithmetic that vectorizes cleanly, the same trade CLAMR
-    // makes.
+    // cell itself, keeping the SIMD loop branch-free. A slot's area
+    // follows from the planes and the cell's level (detail::slot_area).
+    // Each cell recomputes its face fluxes and writes only its own
+    // increments — redundant arithmetic that vectorizes cleanly, the same
+    // trade CLAMR makes.
     static constexpr int kSlots = 8;
     std::vector<std::int32_t> nbr_idx_;    // kSlots * ncells
-    std::vector<compute_t> nbr_area_;      // kSlots * ncells
-    // Double buffers + prefix-offset map for the incremental cache
-    // update; kept as members so steady-state rezones allocate nothing.
+    // Double buffer + prefix-offset map for the incremental cache update;
+    // kept as members so steady-state rezones allocate nothing.
     std::vector<std::int32_t> nbr_idx_back_;
-    std::vector<compute_t> nbr_area_back_;
     std::vector<std::int32_t> old_to_new_;
     std::vector<std::uint8_t> slot_dirty_;  // per-cell "needs resolve" flag
     mesh::RemapPlan plan_;  // adapt output, storage reused across rezones
-    // Same-level runs for compute_dt (rebuilt with the neighbor tables).
+    // Same-level runs for compute_dt and apply_update (rebuilt with the
+    // neighbor tables).
     std::vector<detail::LevelRun> level_runs_;
     // Flux-sweep iteration space (rebuilt with the neighbor tables): the
-    // dense tiles (compute_t and governed-alt area variants) over their
-    // padded source maps, and the sorted list of cells the tiles leave to
-    // the flux_block_gather fallback (packed W to a gather, so scattered
-    // singletons cost ~1/W of a pack each). A tile with fewer than
-    // kMinTileRegular regular cells is not worth gathering, so all its
-    // members join the fallback instead — a topology-only decision, so
-    // every simd/alt variant sees the same iteration space
-    // (kMinTileRegular, declared with the accessors above).
-    std::vector<detail::TileBlock<compute_t>> tile_blocks_;
-    std::vector<detail::TileBlock<alt_compute_t>> tile_blocks_alt_;
+    // dense tiles over their padded source maps, and the sorted list of
+    // cells the tiles leave to the flux_block_gather fallback (packed W to
+    // a gather, so scattered singletons cost ~1/W of a pack each). A tile
+    // with fewer than kMinTileRegular regular cells is not worth
+    // gathering, so all its members join the fallback instead — a
+    // topology-only decision, so every simd/alt variant sees the same
+    // iteration space (kMinTileRegular, declared with the accessors
+    // above).
+    std::vector<detail::TileBlock> tile_blocks_;
     std::vector<std::int32_t> tile_src_;  // kTilePadCells per dense tile
     std::vector<TilePart> tile_parts_;    // per-thread rebuild_tiles output
     std::vector<std::int32_t> fallback_cells_;
     std::vector<std::uint8_t> fallback_flag_;
-    // Governed-path state: alt-precision increment buffers and neighbor
-    // areas, built lazily on the first governed step after a topology
-    // change. Empty whenever no enabled governor is attached.
+    // Governed-path state: alt-precision increment buffers, sized by each
+    // alt sweep. Empty until a governed step runs the alt sweep.
     fp::PrecisionGovernor* governor_ = nullptr;
     int gov_flux_id_ = -1;
     std::vector<alt_compute_t> dh_alt_, dhu_alt_, dhv_alt_;
-    std::vector<alt_compute_t> nbr_area_alt_;
-    bool alt_tables_stale_ = true;
     std::vector<compute_t> cfl_buf_;       // per-cell dt candidates
     std::vector<std::int8_t> flags_scratch_;  // refinement flags, reused
     // Shadow-profile capture scratch (cell indices + pre-update state),

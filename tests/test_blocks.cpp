@@ -48,11 +48,12 @@ tsh::Config amr_config(int n, int levels, int rezone_interval) {
 
 // Tile correctness on a 12^2 grid, whose level-0 tiles run off the domain
 // edge: every leaf of the tile's level inside the tile is at its own
-// source position, every regular bit names such a leaf, each regular
-// member's four side positions hold the in-domain, same-or-coarser leaf
-// covering them, and the tiles' regular members plus the fallback cells
-// partition the mesh (every cell computed exactly once per sweep).
-// Returns whether some dense tile runs off the domain.
+// source position, every regular bit names such a leaf (so every regular
+// member sits at the tile's level), each regular member's four side
+// positions hold the in-domain, same-or-coarser leaf covering them, and
+// the tiles' regular members plus the fallback cells partition the mesh
+// (every cell computed exactly once per sweep). Returns whether some dense
+// tile runs off the domain.
 template <typename Solver>
 bool check_tiles(const Solver& s) {
     using tsh::detail::kTilePad;
@@ -66,12 +67,13 @@ bool check_tiles(const Solver& s) {
     bool straddles_edge = false;
     for (const auto& t : s.tile_blocks()) {
         EXPECT_GE(std::popcount(t.regular), Solver::kMinTileRegular);
-        // The tile's level and coordinates, read off its first regular
-        // member.
+        // The tile's coordinates, read off its first regular member, which
+        // must sit at the tile's level.
         const int k0 = std::countr_zero(t.regular);
         const mesh::Cell& first = cells[static_cast<std::size_t>(
             t.src[tile_padded(k0 % kTileSize, k0 / kTileSize)])];
-        const std::int32_t level = first.level;
+        const std::int32_t level = t.level;
+        EXPECT_EQ(first.level, level);
         const std::int32_t i0 = first.i / kTileSize * kTileSize;
         const std::int32_t j0 = first.j / kTileSize * kTileSize;
         const std::int32_t nx = geom.coarse_nx << level;
@@ -93,6 +95,7 @@ bool check_tiles(const Solver& s) {
                     << "regular bit off the level at level " << level
                     << " (" << i << ", " << j << ")";
                 if (leaf < 0) continue;
+                EXPECT_EQ(cells[static_cast<std::size_t>(leaf)].level, level);
                 // Padded-position step and index offset per side W, E, S, N.
                 const int sides[4][3] = {{-1, -1, 0},
                                          {+1, +1, 0},
@@ -136,11 +139,12 @@ TEST(FluxTiles, MasksAndFallbackPartitionTheMesh) {
 }
 
 // The pass splits its cells into one range per thread, so the tile list
-// (order, masks, source maps) and the fallback list must not depend on
-// the team size.
+// (order, masks, levels, source maps) and the fallback list must not
+// depend on the team size.
 TEST(FluxTiles, TileListIndependentOfTeamSize) {
     struct Tiles {
         std::vector<std::uint64_t> regular;
+        std::vector<std::int32_t> level;
         std::vector<std::int32_t> src;
         std::vector<std::int32_t> fallback;
     };
@@ -153,6 +157,7 @@ TEST(FluxTiles, TileListIndependentOfTeamSize) {
         Tiles t;
         for (const auto& b : s.tile_blocks()) {
             t.regular.push_back(b.regular);
+            t.level.push_back(b.level);
             t.src.insert(t.src.end(), b.src,
                          b.src + tsh::detail::kTilePadCells);
         }
@@ -163,6 +168,7 @@ TEST(FluxTiles, TileListIndependentOfTeamSize) {
     for (const int threads : {2, 3, 4}) {
         const Tiles many = tiles_at(threads);
         EXPECT_EQ(many.regular, one.regular) << threads << " threads";
+        EXPECT_EQ(many.level, one.level) << threads << " threads";
         EXPECT_EQ(many.src, one.src) << threads << " threads";
         EXPECT_EQ(many.fallback, one.fallback) << threads << " threads";
     }

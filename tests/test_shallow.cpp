@@ -401,13 +401,15 @@ TEST(Shallow, LedgerRecordsKernels) {
     EXPECT_GT(s.timers().total("finite_diff"), 0.0);
 }
 
-// After a run full of rezones, the incrementally maintained slot tables
-// must match a from-scratch face-scan rebuild bit-for-bit.
+// After the pre-refine passes and after a run full of rezones, the
+// incrementally maintained slot tables must match a from-scratch
+// face-scan rebuild bit-for-bit.
 TYPED_TEST(ShallowPolicyTest, IncrementalCachesConsistentAfterRezones) {
     auto cfg = small_config(16, 3);
     cfg.rezone_interval = 2;
     tsh::ShallowWaterSolver<TypeParam> s(cfg);
     s.initialize_dam_break({});
+    EXPECT_TRUE(s.topology_caches_consistent());
     s.run(30);
     EXPECT_GT(s.rezone_stats().rezones, 0u);
     EXPECT_TRUE(s.topology_caches_consistent());

@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Count packed floating-point arithmetic per flux-kernel instantiation in
+# an object file, and fail unless every instantiation holds some.
+#
+#   tools/check_packed_fp.sh OBJECT
+#
+# Scans every tile_block<S, C, W> and flux_block_gather<S, C, W>
+# instantiation in OBJECT; out-of-line clones of a kernel's lambdas count
+# toward the kernel that owns them. Prints one line per instantiation and
+# exits 1 if any holds no packed add/sub/mul/div/sqrt/min/max/fma, or if
+# OBJECT holds no instantiation at all. Run on solver.cpp.o (the native,
+# W > 1 kernels) it must pass; on flux_scalar.cpp.o (the W == 1 kernels,
+# compiled with the auto-vectorizer off) it must fail.
+set -euo pipefail
+
+obj=${1:?usage: check_packed_fp.sh OBJECT}
+objdump -d -C --no-show-raw-insn "$obj" | awk '
+    # A symbol header: "<addr> <demangled name>:". The instantiation it
+    # belongs to is the first kernel template-id in the name.
+    /^[0-9a-f]+ <.*>:$/ {
+        key = ""
+        if (match($0, /(tile_block|flux_block_gather)<[^>]*>/)) {
+            key = substr($0, RSTART, RLENGTH)
+            if (!(key in packed)) { packed[key] = 0; order[n++] = key }
+        }
+        next
+    }
+    key != "" &&
+        $0 ~ /[ \t]v?(add|sub|mul|div|sqrt|min|max|fmadd[0-9]*|fmsub[0-9]*|fnmadd[0-9]*)p[sdh][ \t]/ {
+        packed[key]++
+    }
+    END {
+        bad = 0
+        for (i = 0; i < n; i++) {
+            printf "%6d packed FP  %s\n", packed[order[i]], order[i]
+            if (packed[order[i]] == 0) bad = 1
+        }
+        if (n == 0) { print "no flux-kernel instantiation found"; exit 1 }
+        if (bad) { print "an instantiation holds no packed FP arithmetic"; exit 1 }
+    }'
