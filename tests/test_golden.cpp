@@ -7,7 +7,10 @@
 //     on a tile-aligned and an edge-straddling coarse grid, plus governed
 //     runs that switch the flux sweep's compute precision both ways;
 //   - dist_gather_height.txt: the row-stripe distributed solver's
-//     gather_height() field, per policy x rank count x schedule.
+//     gather_height() field, per policy x rank count x schedule;
+//   - sem_state.txt: the SEM solver's state_fingerprint() after a thermal
+//     bubble, per policy x SIMD shape x order, plus a viscous run and
+//     governed runs that switch the rhs kernels' compute precision.
 // The arithmetic is IEEE-deterministic (no contraction in kernel TUs,
 // fixed-shape reductions), so the digests hold on any x86-64 host, at
 // any thread count.
@@ -22,11 +25,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fp/governor.hpp"
 #include "fp/half_policy.hpp"
 #include "par/dist_shallow.hpp"
+#include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
 #include "util/fnv.hpp"
 
@@ -196,6 +201,100 @@ TEST(Golden, DistGatherHeightDigests) {
     dist_digests<fp::MixedPrecision>(text);
     dist_digests<fp::FullPrecision>(text);
     expect_golden("dist_gather_height.txt", text);
+}
+
+// ------------------------------------------------------- SEM state bits
+
+// A 2^3-element bubble. Orders 5 and 7 run the np = 6 and np = 8
+// micro-kernels; the viscous and governed runs use order 5.
+constexpr int kSemElems = 2;
+constexpr int kSemSteps = 12;
+constexpr int kSemSideOrder = 5;
+
+// Digest of state_fingerprint() after kSemSteps steps, with `gov` (if any)
+// attached and stepped like a driver does.
+template <typename P>
+std::uint64_t sem_digest(int order, simd::Mode mode, double viscosity,
+                         fp::PrecisionGovernor* gov) {
+    sem::SemConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = kSemElems;
+    cfg.order = order;
+    cfg.simd = mode;
+    cfg.viscosity = viscosity;
+    sem::SpectralEulerSolver<P> s(cfg);
+    if (gov != nullptr) s.set_governor(gov);
+    s.initialize_thermal_bubble({});
+    for (int k = 0; k < kSemSteps; ++k) {
+        s.step();
+        if (gov != nullptr) gov->end_step(s.step_count());
+    }
+    return util::fnv1a(s.state_fingerprint());
+}
+
+template <typename P>
+void sem_digests(std::string& text) {
+    for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native})
+        for (const int order : {5, 7})
+            add_digest(text,
+                       std::string(P::name) + ' ' + simd::to_string(mode) +
+                           " N" + std::to_string(order),
+                       sem_digest<P>(order, mode, 0.0, nullptr));
+}
+
+// Zero drift budget: the rhs kernels start in float, so the promote
+// after the warmup step makes every policy compute steps in both float
+// and double. Only the double-compute policies demote again: minimum
+// precision's residual arrays are float, and the volume kernel rounds the
+// gravity source and the flux divergence into them separately, so its
+// promoted steps never match the double reference on the float lattice.
+template <typename P>
+void sem_governed_digest(std::string& text) {
+    fp::GovernorConfig cfg;
+    cfg.enabled = true;
+    cfg.drift_budget_ulp = 0;
+    cfg.tail_budget_frac = 0.0;
+    cfg.warmup = 1;
+    cfg.hysteresis = 3;
+    fp::PrecisionGovernor gov(cfg);
+    const std::uint64_t digest =
+        sem_digest<P>(kSemSideOrder, simd::Mode::Native, 0.0, &gov);
+    std::size_t promotes = 0;
+    std::size_t demotes = 0;
+    for (const auto& d : gov.decisions())
+        (d.action == "promote" ? promotes : demotes) += 1;
+    EXPECT_GE(promotes, 1u) << P::name;
+    if constexpr (std::is_same_v<typename P::compute_t, double>) {
+        EXPECT_GE(demotes, 1u) << P::name;
+    }
+    add_digest(text,
+               "governed " + std::string(P::name) + " native N" +
+                   std::to_string(kSemSideOrder),
+               digest);
+}
+
+TEST(Golden, SemStateDigests) {
+    std::string text =
+        "# FNV-1a of SpectralEulerSolver::state_fingerprint() after a "
+        "thermal bubble\n# on " +
+        std::to_string(kSemElems) + "^3 elements, " +
+        std::to_string(kSemSteps) +
+        " steps, inviscid. Key: policy simd order.\n";
+    sem_digests<fp::MinimumPrecision>(text);
+    sem_digests<fp::MixedPrecision>(text);
+    sem_digests<fp::FullPrecision>(text);
+    text += "# Viscous (mu = 1 Pa s). Key: viscous policy simd order.\n";
+    add_digest(text,
+               "viscous full native N" + std::to_string(kSemSideOrder),
+               sem_digest<fp::FullPrecision>(kSemSideOrder,
+                                             simd::Mode::Native, 1.0,
+                                             nullptr));
+    text +=
+        "# Governed, inviscid: zero drift budget, warmup 1, hysteresis 3.\n"
+        "# Key: governed policy simd order.\n";
+    sem_governed_digest<fp::MinimumPrecision>(text);
+    sem_governed_digest<fp::MixedPrecision>(text);
+    sem_governed_digest<fp::FullPrecision>(text);
+    expect_golden("sem_state.txt", text);
 }
 
 }  // namespace
