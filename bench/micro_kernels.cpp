@@ -107,17 +107,15 @@ static void BM_SemStep(benchmark::State& state) {
     sem::SemConfig cfg;
     cfg.nx = cfg.ny = cfg.nz = 4;
     cfg.order = 7;
-    cfg.promote_each_op = state.range(0) != 0;
     sem::SpectralEulerSolver<Policy> s(cfg);
     s.initialize_thermal_bubble({});
     for (auto _ : state) benchmark::DoNotOptimize(s.step());
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(s.num_nodes()));
-    state.SetLabel(std::string(Policy::name) +
-                   (cfg.promote_each_op ? "/promoted" : "/native"));
+    state.SetLabel(std::string(Policy::name));
 }
-BENCHMARK_TEMPLATE(BM_SemStep, fp::MinimumPrecision)->Arg(0)->Arg(1);
-BENCHMARK_TEMPLATE(BM_SemStep, fp::FullPrecision)->Arg(0);
+BENCHMARK_TEMPLATE(BM_SemStep, fp::MinimumPrecision);
+BENCHMARK_TEMPLATE(BM_SemStep, fp::FullPrecision);
 
 // ------------------------------------------------------------------- half
 static void BM_HalfEncodeDecode(benchmark::State& state) {

@@ -27,6 +27,8 @@ using namespace tp;
 
 namespace {
 
+constexpr int kMassStride = 10;
+
 template <typename Policy>
 int run(const util::ArgParser& args) {
     shallow::Config cfg;
@@ -129,18 +131,20 @@ int run(const util::ArgParser& args) {
         const double wall_s = step_timer.elapsed_seconds();
         if (obs::metrics().is_open()) {
             const auto& rz = solver.rezone_stats();
+            obs::json::Object rec;
+            rec.field("type", "step")
+                .field("step", solver.step_count())
+                .field("t", solver.time())
+                .field("dt", dt)
+                .field("wall_s", wall_s)
+                .field("cells",
+                       static_cast<std::uint64_t>(solver.mesh().num_cells()));
+            // The exact mass sum costs about as much as a step, so the
+            // record carries it every kMassStride steps and on the last.
+            if ((s + 1) % kMassStride == 0 || s + 1 == steps)
+                rec.field("mass", solver.total_mass());
             obs::metrics().write_line(
-                obs::json::Object()
-                    .field("type", "step")
-                    .field("step", solver.step_count())
-                    .field("t", solver.time())
-                    .field("dt", dt)
-                    .field("wall_s", wall_s)
-                    .field("cells",
-                           static_cast<std::uint64_t>(
-                               solver.mesh().num_cells()))
-                    .field("mass", solver.total_mass())
-                    .field("rezones", rz.rezones)
+                rec.field("rezones", rz.rezones)
                     .field("rezone_cells_touched", rz.cells_touched)
                     .field("rezone_translated", rz.translated_cells)
                     .field("rezone_resolved", rz.resolved_cells)

@@ -1,85 +1,63 @@
-// precision_recommend: a working miniature of the precision-analysis
-// workflow (CRAFT / Precimonious family, paper §III.B) that produced
-// CLAMR's mixed configuration. Runs the shallow-water flux arithmetic and
-// the global diagnostics through a double+float shadow execution and
-// prints, per program site, how far single precision drifts — and the
-// float/double verdict.
+// precision_recommend: the precision-analysis workflow (CRAFT /
+// Precimonious family, paper §III.B) that produced CLAMR's mixed
+// configuration, run on the solver itself. A short minimum-precision dam
+// break runs with shadow profiling on, so every instrumented kernel
+// re-executes a strided sample of its work in double (obs/numerics.hpp).
+// The report prints, per (kernel, array), how far single precision drifted
+// from that reference and the float/double verdict.
 //
-//   $ ./precision_recommend --cells 500000 --threshold 1e-6
+//   $ ./precision_recommend --grid 48 --steps 40 --threshold 1e-6
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <string>
 
-#include "craft/shadow.hpp"
+#include "obs/numerics.hpp"
+#include "shallow/solver.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 using namespace tp;
 
 int main(int argc, char** argv) {
     util::ArgParser args("precision_recommend",
-                         "shadow-execution precision analysis of the "
-                         "shallow-water kernels");
-    args.add_option("cells", "cell updates to sample", "500000");
-    args.add_option("threshold",
-                    "max relative divergence judged float-safe", "1e-6");
+                         "shadow-execution precision analysis of a "
+                         "minimum-precision dam break");
+    args.add_int_option("grid", "coarse grid cells per side", "48");
+    args.add_int_option("steps", "steps to run", "40");
+    args.add_double_option("threshold",
+                           "max relative error judged float-safe", "1e-6");
     if (!args.parse(argc, argv)) return 1;
-    const int n = args.get_int("cells");
+    const int n = args.get_int("grid");
+    const int steps = args.get_int("steps");
     const double threshold = args.get_double("threshold");
 
-    util::Rng rng(2017);
-    craft::ShadowLog log;
-    const craft::Tracked g(9.80665), half(0.5);
-    craft::Tracked mass(0.0);
-    craft::Tracked kahan_sum(0.0);
-    craft::Tracked mass_compensation(0.0);  // Kahan-style compensated sum
-
-    for (int i = 0; i < n; ++i) {
-        // Representative dam-break state.
-        const craft::Tracked h(rng.uniform(10.0, 80.0));
-        const craft::Tracked hu(rng.uniform(-50.0, 50.0));
-        const craft::Tracked hv(rng.uniform(-50.0, 50.0));
-
-        // Site 1: the per-cell flux arithmetic of finite_diff.
-        const auto u = hu / h;
-        const auto v = hv / h;
-        const auto c = sqrt(g * h);
-        const auto smax = fabs(u) + c;
-        const auto flux_h = hu;
-        const auto flux_hu = hu * u + half * g * h * h;
-        const auto flux_hv = hu * v;
-        log.observe("finite_diff: mass flux", flux_h);
-        log.observe("finite_diff: momentum flux", flux_hu + flux_hv);
-        log.observe("finite_diff: wavespeed (CFL)", smax);
-
-        // Site 2: the naive global mass accumulation.
-        mass += h;
-        log.observe("diagnostics: naive mass sum", mass);
-
-        // Site 3: the same sum with Kahan compensation — the fix the
-        // paper's Sec. III.C prescribes, applied in the shadow too.
-        const auto y = h - mass_compensation;
-        const auto t = kahan_sum + y;
-        mass_compensation = (t - kahan_sum) - y;
-        kahan_sum = t;
-        log.observe("diagnostics: compensated mass sum", kahan_sum);
-    }
+    shallow::Config cfg;
+    cfg.geom = {0.0, 0.0, 100.0, 100.0, n, n, 2};
+    shallow::ShallowWaterSolver<fp::MinimumPrecision> solver(cfg);
+    solver.initialize_dam_break({});
+    obs::set_shadow_profile(true);
+    solver.run(steps);
+    obs::set_shadow_profile(false);
 
     util::TextTable t("Shadow-execution report (" + std::to_string(n) +
-                      " samples, threshold " +
-                      util::scientific(threshold, 0) + ")");
-    t.set_header({"site", "worst digits", "max rel divergence",
-                  "verdict"});
-    for (const auto& r : log.recommend(threshold))
-        t.add_row({r.site, util::fixed(r.stats.worst_digits(), 1),
-                   util::scientific(r.stats.max_rel, 1),
-                   r.float_safe ? "float is safe" : "keep double"});
+                      "^2 dam break, " + std::to_string(steps) +
+                      " steps, threshold " + util::scientific(threshold, 0) +
+                      ")");
+    t.set_header({"kernel", "array", "samples", "worst digits",
+                  "max rel error", "verdict"});
+    for (const auto& [kernel, arrays] : obs::shadow_report())
+        for (const auto& [array, s] : arrays) {
+            const double digits =
+                std::clamp(-std::log10(s.max_rel), 0.0, 17.0);
+            t.add_row({kernel, array, std::to_string(s.samples),
+                       util::fixed(digits, 1),
+                       util::scientific(s.max_rel, 1),
+                       s.max_rel <= threshold ? "float is safe"
+                                              : "keep double"});
+        }
     std::printf("%s\n", t.str().c_str());
-    std::printf(
-        "This is the shape of the CRAFT result the paper builds on: the\n"
-        "per-cell physics tolerates single precision, the long global\n"
-        "accumulations do not (unless compensated) — hence CLAMR's\n"
-        "'mixed' mode: float state arrays, double local calculation.\n");
     return 0;
 }

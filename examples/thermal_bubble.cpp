@@ -32,7 +32,6 @@ int run(const util::ArgParser& args) {
     cfg.nx = cfg.ny = cfg.nz = args.get_int("elements");
     cfg.order = args.get_int("order");
     cfg.courant = args.get_double("courant");
-    cfg.promote_each_op = args.get_flag("gnu-model");
 
     sem::ThermalBubble bubble;
     bubble.dtheta = args.get_double("dtheta");
@@ -154,10 +153,9 @@ int run(const util::ArgParser& args) {
     }
     const double seconds = timer.elapsed_seconds();
 
-    std::printf("ran %d RK3 steps to t=%.4f s in %.3f s (%s precision%s)\n",
+    std::printf("ran %d RK3 steps to t=%.4f s in %.3f s (%s precision)\n",
                 steps, solver.time(), seconds,
-                std::string(Policy::name).c_str(),
-                cfg.promote_each_op ? ", GNU codegen model" : "");
+                std::string(Policy::name).c_str());
     std::printf("volume: %.3fs | surface: %.3fs | rk: %.3fs | filter: "
                 "%.3fs\n",
                 solver.timers().total("volume"),
@@ -222,9 +220,6 @@ int main(int argc, char** argv) {
     args.add_double_option("radius", "bubble radius (m)", "250.0");
     args.add_option("lineout",
                     "write density-anomaly line-out CSV to this path", "");
-    args.add_flag("gnu-model",
-                  "promote every single-precision op through double "
-                  "(Table IV GNU-compiler model)");
     args.add_flag("verbose", "print periodic step diagnostics");
     util::add_checkpoint_options(args);
     util::add_threads_option(args);

@@ -78,9 +78,8 @@ template <typename T>
     return std::fabs(test - ref) / scale;
 }
 
-// Log-bucketed relative-error histogram layout, shared by the CRAFT-style
-// shadow log (craft/shadow.hpp) and the numerics telemetry records
-// (obs/numerics.hpp): bucket 0 holds rel <= 10^kRelHistLowExp (including
+// Log-bucketed relative-error histogram layout of the numerics telemetry
+// records (obs/numerics.hpp): bucket 0 holds rel <= 10^kRelHistLowExp (including
 // exact matches), bucket i holds [10^(lo+i-1), 10^(lo+i)), and the top
 // bucket absorbs everything from 10^(lo+kRelHistBuckets-2) up to +inf.
 inline constexpr int kRelHistBuckets = 12;

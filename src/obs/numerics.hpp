@@ -94,10 +94,10 @@ struct DivergenceStats {
 
     /// Record one production value against its double shadow reference.
     /// T is the kernel's output scalar; the ULP distance is taken in T.
-    /// Non-builtin scalars (fp::Half, fp::PromotedFloat) are measured on
-    /// the float lattice after rounding the reference to T — zero iff the
-    /// rounded values match, monotone in the drift, which is what the
-    /// telemetry needs even if the unit is float ULPs rather than T ULPs.
+    /// A non-builtin scalar (fp::Half) is measured on the float lattice
+    /// after rounding the reference to T — zero iff the rounded values
+    /// match, monotone in the drift, which is what the telemetry needs
+    /// even if the unit is float ULPs rather than T ULPs.
     template <typename T>
     void observe(T test, double ref) {
         ++samples;

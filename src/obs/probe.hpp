@@ -64,8 +64,8 @@ void record_probe(const std::string& kernel, const ProbeStats& s);
 
 /// Scan `data[0..n)` for NaN/Inf and min/max, record the result under
 /// `kernel` in the global registry, and return this call's stats. Works
-/// for any type explicitly convertible to double (float, double, Half,
-/// PromotedFloat). Callers gate on probe_enabled().
+/// for any type explicitly convertible to double (float, double, Half).
+/// Callers gate on probe_enabled().
 template <typename T>
 ProbeStats probe_array(const std::string& kernel, const T* data,
                        std::size_t n) {

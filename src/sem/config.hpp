@@ -63,7 +63,6 @@ struct SemConfig {
     int filter_cutoff = 4;        ///< highest untouched mode
     double filter_alpha = 36.0;
     int filter_exponent = 16;
-    bool promote_each_op = false; ///< model GNU 4.9 SP codegen (Table IV)
     /// Dynamic viscosity mu (Pa s). Zero selects the inviscid (Euler +
     /// filter) path; positive values enable the BR1 viscous terms of the
     /// compressible Navier-Stokes equations SELF solves.

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "fp/governor.hpp"
-#include "fp/promoted.hpp"
 #include "obs/numerics.hpp"
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
@@ -1156,29 +1155,18 @@ void SpectralEulerSolver<Policy>::shadow_profile_filter_observe() {
 template <fp::PrecisionPolicy Policy>
 void SpectralEulerSolver<Policy>::compute_rhs() {
     TP_OBS_SPAN("sem.rhs");
-    const bool promote = cfg_.promote_each_op &&
-                         std::is_same_v<compute_t, float>;
     // Governed dispatch: the rhs kernels are templated on their kernel
     // scalar, so switching precision mid-run is just instantiating the
     // other scalar against the same storage arrays. Inviscid-only (the
-    // monitor's reference is the pure volume contribution) and mutually
-    // exclusive with promote_each_op, which is its own fixed ablation.
+    // monitor's reference is the pure volume contribution).
     const bool governed = governor_ != nullptr && governor_->enabled() &&
-                          gov_rhs_id_ >= 0 && !promote &&
-                          cfg_.viscosity == 0.0;
+                          gov_rhs_id_ >= 0 && cfg_.viscosity == 0.0;
     using gov_alt_t =
         std::conditional_t<std::is_same_v<compute_t, float>, double, float>;
     const bool use_alt =
         governed && (governor_->reduced(gov_rhs_id_) !=
                      std::is_same_v<compute_t, float>);
-    if (promote) {
-        volume_kernel<fp::PromotedFloat>();
-        surface_kernel<fp::PromotedFloat>();
-        if (cfg_.viscosity > 0.0) {
-            gradient_kernel<fp::PromotedFloat>();
-            viscous_kernel<fp::PromotedFloat>();
-        }
-    } else if (use_alt) {
+    if (use_alt) {
         volume_kernel<gov_alt_t>();
         surface_kernel<gov_alt_t>();
     } else {

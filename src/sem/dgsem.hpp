@@ -25,8 +25,9 @@
 // Precision: persistent state arrays use Policy::storage_t, kernel
 // arithmetic uses Policy::compute_t (the paper's SELF study compares
 // minimum [float/float] and full [double/double]; mixed works here too and
-// is exercised as this repo's extension experiment). The Table IV
-// "GNU-compiler" model replaces the kernel scalar with fp::PromotedFloat.
+// is exercised as this repo's extension experiment). Table IV's two
+// compilers differ only in the subnormal mode the kernels run under
+// (fp/fenv.hpp), not in the kernel code.
 
 #include <cstdint>
 #include <functional>
@@ -205,8 +206,7 @@ public:
     /// with a governed kernel scalar: float while the per-step divergence
     /// monitor stays under budget, double otherwise. The governed path is
     /// inviscid-only (the monitor's interior-node reference is the pure
-    /// volume contribution) and yields to promote_each_op, which is its
-    /// own fixed ablation. A disabled or detached governor leaves every
+    /// volume contribution). A disabled or detached governor leaves every
     /// code path — and every bit of output — unchanged. The caller owns
     /// the governor and calls fp::PrecisionGovernor::end_step() per step.
     void set_governor(fp::PrecisionGovernor* governor);

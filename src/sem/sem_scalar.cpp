@@ -14,7 +14,6 @@
 // class instantiations there do not emit bodies for them; the explicit
 // member instantiations below are the only definitions in the program.
 
-#include "fp/promoted.hpp"
 #include "sem/dgsem.hpp"
 #include "sem/tensor_kernel.hpp"
 
@@ -38,17 +37,14 @@ void SpectralEulerSolver<Policy>::filter_sweep_scalar() {
 }
 
 // One instantiation per (policy, kernel scalar) pair the dispatchers can
-// reach: compute_t always, plus PromotedFloat for the single-precision
-// policy's promote_each_op mode (Table IV GNU model), plus the opposite
-// builtin scalar for the runtime precision governor's promoted/demoted
-// volume sweep (fp/governor.hpp; the governed path is inviscid-only, so
-// the gradient sweep needs no extra instantiations).
+// reach: compute_t always, plus the opposite builtin scalar for the
+// runtime precision governor's promoted/demoted volume sweep
+// (fp/governor.hpp; the governed path is inviscid-only, so the gradient
+// sweep needs no extra instantiations).
 template void SpectralEulerSolver<fp::MinimumPrecision>::
     volume_sweep_scalar<float>();
 template void SpectralEulerSolver<fp::MinimumPrecision>::
     volume_sweep_scalar<double>();
-template void SpectralEulerSolver<fp::MinimumPrecision>::
-    volume_sweep_scalar<fp::PromotedFloat>();
 template void SpectralEulerSolver<fp::MixedPrecision>::
     volume_sweep_scalar<double>();
 template void SpectralEulerSolver<fp::MixedPrecision>::
@@ -60,8 +56,6 @@ template void SpectralEulerSolver<fp::FullPrecision>::
 
 template void SpectralEulerSolver<fp::MinimumPrecision>::
     gradient_sweep_scalar<float>();
-template void SpectralEulerSolver<fp::MinimumPrecision>::
-    gradient_sweep_scalar<fp::PromotedFloat>();
 template void SpectralEulerSolver<fp::MixedPrecision>::
     gradient_sweep_scalar<double>();
 template void SpectralEulerSolver<fp::FullPrecision>::

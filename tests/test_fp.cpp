@@ -1,15 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <mutex>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
+#include "fp/fenv.hpp"
 #include "fp/half.hpp"
 #include "fp/metrics.hpp"
 #include "fp/precision.hpp"
-#include "fp/promoted.hpp"
 #include "fp/ulp.hpp"
 #include "util/rng.hpp"
+#include "util/threads.hpp"
 
 namespace tf = tp::fp;
 
@@ -202,31 +213,88 @@ TEST(Metrics, MismatchedSizesThrow) {
     EXPECT_THROW((void)tf::compare(empty, empty), std::invalid_argument);
 }
 
-// ---------------------------------------------------------- promoted float
-TEST(PromotedFloat, MatchesFloatArithmeticClosely) {
-    tp::util::Rng rng(5);
-    for (int i = 0; i < 1000; ++i) {
-        const float a = static_cast<float>(rng.uniform(-100.0, 100.0));
-        const float b = static_cast<float>(rng.uniform(0.5, 100.0));
-        const tf::PromotedFloat pa(a), pb(b);
-        // Round-tripping each op through double changes results by at most
-        // one float ulp (double rounding).
-        EXPECT_LE(tf::ulp_distance(static_cast<float>(pa * pb), a * b), 1u);
-        EXPECT_LE(tf::ulp_distance(static_cast<float>(pa / pb), a / b), 1u);
-        EXPECT_LE(tf::ulp_distance(static_cast<float>(pa + pb), a + b), 1u);
+// ------------------------------------------------------ flush-to-zero guard
+#if defined(__SSE__)
+namespace {
+
+// MXCSR without its sticky exception flags (bits 0-5), which the product
+// below sets.
+constexpr std::uint32_t kMxcsrControl = ~std::uint32_t{0x3f};
+
+struct ThreadFenv {
+    std::uint32_t control = 0;
+    bool flushed = false;
+};
+
+// Each thread of the default team reports its MXCSR control bits and
+// whether a float product below the normal range comes out as zero,
+// keyed by OS thread.
+std::map<std::thread::id, ThreadFenv> team_fenv() {
+    std::map<std::thread::id, ThreadFenv> out;
+    std::mutex m;
+#pragma omp parallel
+    {
+        const std::uint32_t control = _mm_getcsr() & kMxcsrControl;
+        volatile float tiny = 1e-20f;
+        const float product = tiny * tiny;  // 1e-40 is subnormal
+        const std::lock_guard lock(m);
+        out[std::this_thread::get_id()] = {control, product == 0.0f};
     }
+    return out;
 }
 
-TEST(PromotedFloat, MathHelpers) {
-    using tp::fp::fabs;
-    using tp::fp::max;
-    using tp::fp::sqrt;
-    EXPECT_EQ(static_cast<float>(sqrt(tf::PromotedFloat(4.0f))), 2.0f);
-    EXPECT_EQ(static_cast<float>(fabs(tf::PromotedFloat(-3.0f))), 3.0f);
-    EXPECT_EQ(static_cast<float>(
-                  max(tf::PromotedFloat(1.0f), tf::PromotedFloat(2.0f))),
-              2.0f);
+}  // namespace
+
+TEST(FlushToZeroGuard, EveryTeamThreadFlushesThenGetsItsMxcsrBack) {
+    if (!tp::util::openmp_enabled()) GTEST_SKIP() << "no OpenMP team";
+    ASSERT_TRUE(tf::FlushToZeroGuard::supported());
+    tp::util::set_threads(4);
+    // A distinct rounding mode (MXCSR bits 13-14) per team thread, so each
+    // thread has its own previous MXCSR to get back.
+    std::map<std::thread::id, std::uint32_t> original;
+    std::atomic<std::uint32_t> next{0};
+    std::mutex m;
+#pragma omp parallel
+    {
+        const std::uint32_t csr = _mm_getcsr();
+        _mm_setcsr((csr & ~std::uint32_t{0x6000}) | ((next++ % 4) << 13));
+        const std::lock_guard lock(m);
+        original[std::this_thread::get_id()] = csr;
+    }
+    ASSERT_EQ(original.size(), 4u);
+    const auto before = team_fenv();
+    ASSERT_EQ(before.size(), 4u);
+    {
+        const tf::FlushToZeroGuard guard;
+        const auto inside = team_fenv();
+        ASSERT_EQ(inside.size(), 4u);
+        for (const auto& [id, t] : inside) {
+            ASSERT_EQ(before.count(id), 1u);
+            EXPECT_EQ(t.control, before.at(id).control | tf::kMxcsrFtzDaz);
+            EXPECT_TRUE(t.flushed);
+        }
+    }
+    const auto after = team_fenv();
+    ASSERT_EQ(after.size(), 4u);
+    for (const auto& [id, t] : after) {
+        ASSERT_EQ(before.count(id), 1u);
+        EXPECT_EQ(t.control, before.at(id).control);
+        EXPECT_FALSE(t.flushed);
+    }
+#pragma omp parallel
+    {
+        const std::lock_guard lock(m);
+        const auto it = original.find(std::this_thread::get_id());
+        if (it != original.end()) _mm_setcsr(it->second);
+    }
+    tp::util::set_threads(0);
 }
+#else
+TEST(FlushToZeroGuard, ReportsUnsupportedOffX86) {
+    EXPECT_FALSE(tf::FlushToZeroGuard::supported());
+    EXPECT_THROW(tf::FlushToZeroGuard guard, std::runtime_error);
+}
+#endif
 
 // ------------------------------------------------------------- half extras
 TEST(Half, OrderingOperator) {

@@ -105,23 +105,6 @@ TEST(SemSolver, SingleAndDoubleAgreeClosely) {
     EXPECT_GT(m.digits_of_agreement(), 3.0);
 }
 
-TEST(SemSolver, PromotedKernelMatchesNativeSingle) {
-    // The "GNU model" changes instruction shape, not results: values match
-    // native single precision to a tight tolerance (double-rounding only).
-    auto cfg = tiny();
-    tse::SingleSemSolver native(cfg);
-    cfg.promote_each_op = true;
-    tse::SingleSemSolver promoted(cfg);
-    native.initialize_thermal_bubble({});
-    promoted.initialize_thermal_bubble({});
-    native.run(5);
-    promoted.run(5);
-    const auto a = native.sample_density_anomaly_x(500.0, 350.0, 33);
-    const auto b = promoted.sample_density_anomaly_x(500.0, 350.0, 33);
-    const auto m = tf::compare(a, b);
-    EXPECT_GT(m.digits_of_agreement(), 4.0);
-}
-
 TEST(SemSolver, StateBytesScaleWithPrecision) {
     tse::SingleSemSolver ss(tiny());
     tse::DoubleSemSolver sd(tiny());

@@ -183,12 +183,11 @@ std::string clamr_bits(tsi::Mode mode, int levels, int rezone_interval = 4) {
 }
 
 template <typename P>
-std::string sem_bits(tsi::Mode mode, bool promote, double viscosity) {
+std::string sem_bits(tsi::Mode mode, double viscosity) {
     tp::sem::SemConfig cfg;
     cfg.nx = cfg.ny = cfg.nz = 2;
     cfg.order = 5;  // np = 6: hits a specialized micro-kernel + tails
     cfg.simd = mode;
-    cfg.promote_each_op = promote;
     cfg.viscosity = viscosity;
     tp::sem::SpectralEulerSolver<P> s(cfg);
     s.initialize_thermal_bubble({});
@@ -224,24 +223,17 @@ TEST(SimdEquivalence, ClamrRezoneHeavyBitIdentical) {
 }
 
 TEST(SimdEquivalence, SemBothPrecisionsBitIdentical) {
-    EXPECT_EQ(sem_bits<tp::fp::MinimumPrecision>(tsi::Mode::Scalar, false, 0.0),
-              sem_bits<tp::fp::MinimumPrecision>(tsi::Mode::Native, false, 0.0));
-    EXPECT_EQ(sem_bits<tp::fp::FullPrecision>(tsi::Mode::Scalar, false, 0.0),
-              sem_bits<tp::fp::FullPrecision>(tsi::Mode::Native, false, 0.0));
-}
-
-TEST(SimdEquivalence, SemPromotedFloatKernelBitIdentical) {
-    // The Table IV "GNU model" swaps the kernel scalar for PromotedFloat;
-    // the pack layer must stay bit-identical there as well.
-    EXPECT_EQ(sem_bits<tp::fp::MinimumPrecision>(tsi::Mode::Scalar, true, 0.0),
-              sem_bits<tp::fp::MinimumPrecision>(tsi::Mode::Native, true, 0.0));
+    EXPECT_EQ(sem_bits<tp::fp::MinimumPrecision>(tsi::Mode::Scalar, 0.0),
+              sem_bits<tp::fp::MinimumPrecision>(tsi::Mode::Native, 0.0));
+    EXPECT_EQ(sem_bits<tp::fp::FullPrecision>(tsi::Mode::Scalar, 0.0),
+              sem_bits<tp::fp::FullPrecision>(tsi::Mode::Native, 0.0));
 }
 
 TEST(SimdEquivalence, SemViscousPathBitIdentical) {
     // viscosity > 0 exercises the gradient micro-kernel and the BR1 face
     // corrections shared by both modes.
-    EXPECT_EQ(sem_bits<tp::fp::FullPrecision>(tsi::Mode::Scalar, false, 1.0),
-              sem_bits<tp::fp::FullPrecision>(tsi::Mode::Native, false, 1.0));
+    EXPECT_EQ(sem_bits<tp::fp::FullPrecision>(tsi::Mode::Scalar, 1.0),
+              sem_bits<tp::fp::FullPrecision>(tsi::Mode::Native, 1.0));
 }
 
 TEST(SimdEquivalence, AutoFollowsBuildConfiguration) {

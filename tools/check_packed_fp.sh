@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Count packed floating-point arithmetic per flux-kernel instantiation in
-# an object file, and fail unless every instantiation holds some.
+# Count packed floating-point arithmetic per kernel instantiation in an
+# object file, and fail unless every instantiation holds some.
 #
 #   tools/check_packed_fp.sh OBJECT
 #
-# Scans every tile_block<S, C, W> and flux_block_gather<S, C, W>
-# instantiation in OBJECT; out-of-line clones of a kernel's lambdas count
-# toward the kernel that owns them. Prints one line per instantiation and
-# exits 1 if any holds no packed add/sub/mul/div/sqrt/min/max/fma, or if
-# OBJECT holds no instantiation at all. Run on solver.cpp.o (the native,
-# W > 1 kernels) it must pass; on flux_scalar.cpp.o (the W == 1 kernels,
+# Scans every instantiation of the CLAMR flux kernels (tile_block,
+# flux_block_gather) and the SEM micro-kernels (volume_element,
+# gradient_element, filter_element) in OBJECT; out-of-line clones of a
+# kernel's lambdas count toward the kernel that owns them. Prints one line
+# per instantiation and exits 1 if any holds no packed
+# add/sub/mul/div/sqrt/min/max/fma, or if OBJECT holds no instantiation at
+# all. Run on solver.cpp.o or dgsem.cpp.o (the native, W > 1 kernels) it
+# must pass; on flux_scalar.cpp.o or sem_scalar.cpp.o (the W == 1 kernels,
 # compiled with the auto-vectorizer off) it must fail.
 set -euo pipefail
 
@@ -19,7 +21,7 @@ objdump -d -C --no-show-raw-insn "$obj" | awk '
     # belongs to is the first kernel template-id in the name.
     /^[0-9a-f]+ <.*>:$/ {
         key = ""
-        if (match($0, /(tile_block|flux_block_gather)<[^>]*>/)) {
+        if (match($0, /(tile_block|flux_block_gather|volume_element|gradient_element|filter_element)<[^>]*>/)) {
             key = substr($0, RSTART, RLENGTH)
             if (!(key in packed)) { packed[key] = 0; order[n++] = key }
         }
@@ -35,6 +37,6 @@ objdump -d -C --no-show-raw-insn "$obj" | awk '
             printf "%6d packed FP  %s\n", packed[order[i]], order[i]
             if (packed[order[i]] == 0) bad = 1
         }
-        if (n == 0) { print "no flux-kernel instantiation found"; exit 1 }
+        if (n == 0) { print "no kernel instantiation found"; exit 1 }
         if (bad) { print "an instantiation holds no packed FP arithmetic"; exit 1 }
     }'
