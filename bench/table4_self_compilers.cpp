@@ -10,7 +10,7 @@
 // RK3 loop, where the paper put its CPU_TIME calls. Exits 1 unless both
 // paper shapes hold, and when this target cannot flush to zero.
 
-#include <memory>
+#include <optional>
 
 #include "bench_common.hpp"
 #include "fp/fenv.hpp"
@@ -24,8 +24,8 @@ double run_seconds(bool flush, int elems, int order, int steps) {
     sem::SemConfig cfg;
     cfg.nx = cfg.ny = cfg.nz = elems;
     cfg.order = order;
-    std::unique_ptr<fp::FlushToZeroGuard> guard;
-    if (flush) guard = std::make_unique<fp::FlushToZeroGuard>();
+    std::optional<fp::FlushToZeroGuard> guard;
+    if (flush) guard.emplace();
     sem::SpectralEulerSolver<Policy> s(cfg);
     s.initialize_thermal_bubble({});
     util::WallTimer t;

@@ -139,8 +139,9 @@ int run(const util::ArgParser& args) {
                 .field("wall_s", wall_s)
                 .field("cells",
                        static_cast<std::uint64_t>(solver.mesh().num_cells()));
-            // The exact mass sum costs about as much as a step, so the
-            // record carries it every kMassStride steps and on the last.
+            // The exact mass sum costs half a step or more, so the record
+            // carries it every kMassStride steps (perf_suite's stride) and
+            // on the last step.
             if ((s + 1) % kMassStride == 0 || s + 1 == steps)
                 rec.field("mass", solver.total_mass());
             obs::metrics().write_line(

@@ -6,7 +6,7 @@
 // The report prints, per (kernel, array), how far single precision drifted
 // from that reference and the float/double verdict.
 //
-//   $ ./precision_recommend --grid 48 --steps 40 --threshold 1e-6
+//   $ ./precision_recommend --steps 40 --threshold 1e-6
 
 #include <algorithm>
 #include <cmath>
@@ -25,15 +25,16 @@ int main(int argc, char** argv) {
     util::ArgParser args("precision_recommend",
                          "shadow-execution precision analysis of a "
                          "minimum-precision dam break");
-    args.add_int_option("grid", "coarse grid cells per side", "48");
-    args.add_int_option("steps", "steps to run", "40");
+    args.add_int_option("steps", "dam-break steps to sample", "40");
     args.add_double_option("threshold",
                            "max relative error judged float-safe", "1e-6");
     if (!args.parse(argc, argv)) return 1;
-    const int n = args.get_int("grid");
     const int steps = args.get_int("steps");
     const double threshold = args.get_double("threshold");
 
+    // 48^2 coarse cells with two refinement levels, so the rezone remap
+    // is sampled too.
+    const int n = 48;
     shallow::Config cfg;
     cfg.geom = {0.0, 0.0, 100.0, 100.0, n, n, 2};
     shallow::ShallowWaterSolver<fp::MinimumPrecision> solver(cfg);

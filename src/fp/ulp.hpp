@@ -79,9 +79,10 @@ template <typename T>
 }
 
 // Log-bucketed relative-error histogram layout of the numerics telemetry
-// records (obs/numerics.hpp): bucket 0 holds rel <= 10^kRelHistLowExp (including
-// exact matches), bucket i holds [10^(lo+i-1), 10^(lo+i)), and the top
-// bucket absorbs everything from 10^(lo+kRelHistBuckets-2) up to +inf.
+// records (obs/numerics.hpp): bucket 0 holds rel <= 10^kRelHistLowExp
+// (including exact matches), bucket i holds [10^(lo+i-1), 10^(lo+i)), and
+// the top bucket absorbs everything from 10^(lo+kRelHistBuckets-2) up to
+// +inf.
 inline constexpr int kRelHistBuckets = 12;
 inline constexpr int kRelHistLowExp = -16;
 

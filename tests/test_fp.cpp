@@ -261,26 +261,14 @@ TEST(FlushToZeroGuard, EveryTeamThreadFlushesThenGetsItsMxcsrBack) {
         const std::lock_guard lock(m);
         original[std::this_thread::get_id()] = csr;
     }
-    ASSERT_EQ(original.size(), 4u);
     const auto before = team_fenv();
-    ASSERT_EQ(before.size(), 4u);
+    std::map<std::thread::id, ThreadFenv> inside;
     {
         const tf::FlushToZeroGuard guard;
-        const auto inside = team_fenv();
-        ASSERT_EQ(inside.size(), 4u);
-        for (const auto& [id, t] : inside) {
-            ASSERT_EQ(before.count(id), 1u);
-            EXPECT_EQ(t.control, before.at(id).control | tf::kMxcsrFtzDaz);
-            EXPECT_TRUE(t.flushed);
-        }
+        inside = team_fenv();
     }
     const auto after = team_fenv();
-    ASSERT_EQ(after.size(), 4u);
-    for (const auto& [id, t] : after) {
-        ASSERT_EQ(before.count(id), 1u);
-        EXPECT_EQ(t.control, before.at(id).control);
-        EXPECT_FALSE(t.flushed);
-    }
+    // Leave the team as it was before checking anything.
 #pragma omp parallel
     {
         const std::lock_guard lock(m);
@@ -288,6 +276,19 @@ TEST(FlushToZeroGuard, EveryTeamThreadFlushesThenGetsItsMxcsrBack) {
         if (it != original.end()) _mm_setcsr(it->second);
     }
     tp::util::set_threads(0);
+
+    ASSERT_EQ(original.size(), 4u);
+    ASSERT_EQ(before.size(), 4u);
+    ASSERT_EQ(inside.size(), 4u);
+    ASSERT_EQ(after.size(), 4u);
+    for (const auto& [id, t] : before) {
+        ASSERT_EQ(inside.count(id), 1u);
+        EXPECT_EQ(inside.at(id).control, t.control | tf::kMxcsrFtzDaz);
+        EXPECT_TRUE(inside.at(id).flushed);
+        ASSERT_EQ(after.count(id), 1u);
+        EXPECT_EQ(after.at(id).control, t.control);
+        EXPECT_FALSE(after.at(id).flushed);
+    }
 }
 #else
 TEST(FlushToZeroGuard, ReportsUnsupportedOffX86) {
