@@ -1,20 +1,20 @@
 // Distributed pipeline scaling + bitwise-equivalence gate.
 //
 // Three sections from one binary:
-//   1. Schedule x SIMD matrix on the large dam break (single thread):
-//      the first row re-times a verbatim transliteration of the
-//      pre-pipeline seed (BSP, per-cell flux lambda, separate full-grid
-//      dt pass, three fresh fields allocated per rank per step) as the
-//      1.00x baseline; the other rows are the shipped pipeline's
-//      schedule x SIMD combinations with per-phase columns. The full run
-//      enforces the >= 2x acceptance floor on overlap/native vs seed.
-//   2. Rank scaling of the overlapped native pipeline (threads follow
-//      ranks up to the host width).
+//   1. Schedule matrix on the large dam break (single thread): the first
+//      row re-times a verbatim transliteration of the pre-pipeline seed
+//      (BSP, per-cell flux lambda, separate full-grid dt pass, three
+//      fresh fields allocated per rank per step) as the 1.00x baseline;
+//      the other rows are the shipped pipeline's two schedules with
+//      per-phase columns. The full run enforces the >= 2x acceptance
+//      floor on the overlapped schedule vs seed.
+//   2. Rank scaling of the overlapped pipeline (threads follow ranks up
+//      to the host width).
 //   3. Bitwise gate: gather_height() must repeat to the last bit across
 //      every rank count (including one rank per row) x both schedules x
-//      both SIMD modes x all three precision policies. Any single-bit
-//      divergence fails the binary — this is the harness that keeps
-//      "overlap/SIMD/decomposition cannot change the physics" true.
+//      all three precision policies. Any single-bit divergence fails the
+//      binary — this is the harness that keeps "overlap/decomposition
+//      cannot change the physics" true.
 //
 // `--quick` shrinks the grids for CI; the bitwise gate runs in both modes.
 
@@ -42,13 +42,11 @@ struct PhaseRun {
 };
 
 template <typename P>
-PhaseRun run_phases(int grid, int steps, int ranks, bool overlap,
-                    simd::Mode mode) {
+PhaseRun run_phases(int grid, int steps, int ranks, bool overlap) {
     par::DistConfig cfg;
     cfg.nx = cfg.ny = grid;
     cfg.ranks = ranks;
     cfg.overlap = overlap;
-    cfg.simd = mode;
     par::DistributedShallowSolver<P> s(cfg);
     s.initialize_dam_break();
     util::WallTimer t;
@@ -65,13 +63,12 @@ PhaseRun run_phases(int grid, int steps, int ranks, bool overlap,
 }
 
 template <typename P>
-std::vector<double> run_state(int grid, int steps, int ranks, bool overlap,
-                              simd::Mode mode) {
+std::vector<double> run_state(int grid, int steps, int ranks,
+                              bool overlap) {
     par::DistConfig cfg;
     cfg.nx = cfg.ny = grid;
     cfg.ranks = ranks;
     cfg.overlap = overlap;
-    cfg.simd = mode;
     par::DistributedShallowSolver<P> s(cfg);
     s.initialize_dam_break();
     s.run(steps);
@@ -87,7 +84,7 @@ std::string ms_per_step(double seconds, int steps) {
 // per-cell flux lambda that allocates three replacement fields every
 // step. Timing-only reference — this is the denominator of the bench's
 // acceptance ratio, kept verbatim so the speedup means "shipped pipeline
-// vs what the repo used to do", not "native vs scalar of the same code".
+// vs what the repo used to do".
 class SeedReference {
 public:
     SeedReference(int grid, int ranks)
@@ -293,24 +290,13 @@ int main(int argc, char** argv) {
         std::to_string(steps) + " steps, 4 simulated ranks, 1 thread for "
         "the schedule matrix");
 
-    // --- 1. Schedule x SIMD matrix --------------------------------------
+    // --- 1. Schedule matrix ---------------------------------------------
     util::set_threads(1);
-    util::TextTable t1("Schedule x SIMD on " + std::to_string(grid) +
+    util::TextTable t1("Schedules on " + std::to_string(grid) +
                        "^2, full precision, 4 ranks, 1 thread");
-    t1.set_header({"schedule/simd", "step ms", "pack", "pre", "wait",
+    t1.set_header({"schedule", "step ms", "pack", "pre", "wait",
                    "interior", "boundary", "speedup"});
-    struct Combo {
-        const char* label;
-        bool overlap;
-        simd::Mode mode;
-    };
-    const Combo combos[] = {
-        {"bsp/scalar", false, simd::Mode::Scalar},
-        {"bsp/native", false, simd::Mode::Native},
-        {"overlap/scalar", true, simd::Mode::Scalar},
-        {"overlap/native", true, simd::Mode::Native},
-    };
-    double base_seconds = 0.0, overlap_native_speedup = 0.0;
+    double base_seconds = 0.0, overlap_speedup = 0.0;
     {
         // Baseline: the pre-pipeline seed (BSP, per-cell lambda, separate
         // dt pass, three fresh fields per rank per step). Best-of-two.
@@ -320,22 +306,21 @@ int main(int argc, char** argv) {
         t.restart();
         SeedReference(grid, 4).run(steps);
         base_seconds = std::min(base_seconds, t.elapsed_seconds());
-        t1.add_row({"seed bsp/scalar", ms_per_step(base_seconds, steps),
+        t1.add_row({"seed bsp", ms_per_step(base_seconds, steps),
                     "-", "-", "-", "-", "-", "1.00x"});
     }
-    for (const Combo& c : combos) {
+    for (const bool overlap : {false, true}) {
         // Best-of-two: the matrix's point is the ratio, and timings
         // jitter on a shared host.
-        PhaseRun r = run_phases<fp::FullPrecision>(grid, steps, 4,
-                                                   c.overlap, c.mode);
-        const PhaseRun r2 = run_phases<fp::FullPrecision>(grid, steps, 4,
-                                                          c.overlap, c.mode);
+        PhaseRun r = run_phases<fp::FullPrecision>(grid, steps, 4, overlap);
+        const PhaseRun r2 =
+            run_phases<fp::FullPrecision>(grid, steps, 4, overlap);
         if (r2.step_seconds < r.step_seconds) r = r2;
         const double speedup =
             r.step_seconds > 0.0 ? base_seconds / r.step_seconds : 0.0;
-        if (std::string(c.label) == "overlap/native")
-            overlap_native_speedup = speedup;
-        t1.add_row({c.label, ms_per_step(r.step_seconds, steps),
+        if (overlap) overlap_speedup = speedup;
+        t1.add_row({overlap ? "overlap" : "bsp",
+                    ms_per_step(r.step_seconds, steps),
                     ms_per_step(r.pack, steps), ms_per_step(r.pre, steps),
                     ms_per_step(r.wait, steps),
                     ms_per_step(r.interior, steps),
@@ -345,17 +330,15 @@ int main(int argc, char** argv) {
     t1.print();
     std::printf("\n");
 
-    // --- 2. Rank scaling of the overlapped native pipeline --------------
+    // --- 2. Rank scaling of the overlapped pipeline ---------------------
     util::set_threads(0);  // hardware default
-    util::TextTable t2("Rank scaling, overlap/native, threads = min(ranks, "
-                       "hw), " +
+    util::TextTable t2("Rank scaling, overlap, threads = min(ranks, hw), " +
                        std::to_string(grid) + "^2");
     t2.set_header({"ranks", "step ms", "pre", "interior", "boundary",
                    "wait", "halo MiB"});
     for (const int ranks : {1, 2, 4, 8}) {
-        const PhaseRun r = run_phases<fp::FullPrecision>(grid, steps, ranks,
-                                                         true,
-                                                         simd::Mode::Native);
+        const PhaseRun r =
+            run_phases<fp::FullPrecision>(grid, steps, ranks, true);
         t2.add_row({std::to_string(ranks),
                     ms_per_step(r.step_seconds, steps),
                     ms_per_step(r.pre, steps),
@@ -374,25 +357,22 @@ int main(int argc, char** argv) {
     const int gsteps = quick ? 12 : 25;
     int failures = 0;
     util::TextTable t3("Bitwise gate: gather_height across rank count x "
-                       "schedule x SIMD (" +
+                       "schedule (" +
                        std::to_string(ggrid) + "^2, " +
                        std::to_string(gsteps) + " steps)");
     t3.set_header({"policy", "combos", "verdict"});
     auto gate = [&]<typename P>(const std::string& label) {
-        const std::vector<double> ref = run_state<P>(
-            ggrid, gsteps, 1, false, simd::Mode::Scalar);
+        const std::vector<double> ref =
+            run_state<P>(ggrid, gsteps, 1, false);
         int combos = 1, bad = 0;
         for (const int ranks : {1, 2, 3, ggrid})
-            for (const bool overlap : {false, true})
-                for (const simd::Mode mode :
-                     {simd::Mode::Scalar, simd::Mode::Native}) {
-                    if (ranks == 1 && !overlap && mode == simd::Mode::Scalar)
-                        continue;  // that is the reference itself
-                    ++combos;
-                    if (run_state<P>(ggrid, gsteps, ranks, overlap, mode) !=
-                        ref)
-                        ++bad;
-                }
+            for (const bool overlap : {false, true}) {
+                if (ranks == 1 && !overlap)
+                    continue;  // that is the reference itself
+                ++combos;
+                if (run_state<P>(ggrid, gsteps, ranks, overlap) != ref)
+                    ++bad;
+            }
         failures += bad;
         t3.add_row({label, std::to_string(combos),
                     bad == 0 ? "IDENTICAL"
@@ -416,11 +396,10 @@ int main(int argc, char** argv) {
         int traced_bad = 0;
         for (const bool overlap : {false, true}) {
             const std::vector<double> ref = run_state<fp::MixedPrecision>(
-                ggrid, gsteps, 4, overlap, simd::Mode::Native);
+                ggrid, gsteps, 4, overlap);
             obs::trace_start(trace_path);
             const std::vector<double> traced =
-                run_state<fp::MixedPrecision>(ggrid, gsteps, 4, overlap,
-                                              simd::Mode::Native);
+                run_state<fp::MixedPrecision>(ggrid, gsteps, 4, overlap);
             const std::size_t events = obs::trace_stop();
             if (traced != ref) ++traced_bad;
             if (events == 0) ++traced_bad;  // the recorder saw nothing
@@ -434,12 +413,12 @@ int main(int argc, char** argv) {
     }
 
     std::printf(
-        "\noverlap/native speedup over the seed BSP scalar step: %.2fx "
+        "\noverlapped speedup over the seed BSP step: %.2fx "
         "(acceptance floor: 2.0x%s)\n%s\n",
-        overlap_native_speedup, quick ? ", not enforced in --quick" : "",
+        overlap_speedup, quick ? ", not enforced in --quick" : "",
         failures == 0 ? "All decompositions bit-identical."
                       : "BITWISE MISMATCH across decompositions!");
     if (failures != 0) return 1;
-    if (!quick && overlap_native_speedup < 2.0) return 1;
+    if (!quick && overlap_speedup < 2.0) return 1;
     return 0;
 }

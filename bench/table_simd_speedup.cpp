@@ -5,9 +5,9 @@
 // diverges by even one bit, so this doubles as a correctness harness for
 // the pack kernel layer (DESIGN.md §"SIMD kernel layer").
 //
-// CLAMR rows compare the flux-sweep (finite_diff) kernel across the three
-// storage/compute policies; SEM rows compare the fused tensor-product
-// micro-kernels at single and double precision.
+// The rows compare CLAMR's flux-sweep (finite_diff) kernel across the
+// three storage/compute policies: it is the one kernel with a scalar
+// path, because Table III measures it both ways.
 
 #include <cstdio>
 #include <sstream>
@@ -45,23 +45,6 @@ ModeRun run_clamr(int coarse, int levels, int steps, simd::Mode mode) {
     return r;
 }
 
-template <typename P>
-ModeRun run_sem(int elems, int order, int steps, simd::Mode mode) {
-    sem::SemConfig cfg;
-    cfg.nx = cfg.ny = cfg.nz = elems;
-    cfg.order = order;
-    cfg.simd = mode;
-    sem::SpectralEulerSolver<P> s(cfg);
-    s.initialize_thermal_bubble({});
-    s.run(steps);
-    ModeRun r;
-    r.kernel_seconds = s.timers().total("volume");
-    if (const perf::KernelWork* w = s.ledger().find("volume"))
-        r.lanes = w->simd_lanes;
-    r.state_bits = s.state_fingerprint();
-    return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -70,20 +53,14 @@ int main(int argc, char** argv) {
         "Per-mode SIMD speedup with bitwise scalar/native verification");
     args.add_option("grid", "CLAMR coarse grid cells per side", "192");
     args.add_option("steps", "CLAMR time steps", "60");
-    args.add_option("sem-elems", "SEM elements per axis", "6");
-    args.add_option("sem-steps", "SEM RK3 steps", "10");
     if (!args.parse(argc, argv)) return 1;
     const int grid = args.get_int("grid");
     const int steps = args.get_int("steps");
-    const int selems = args.get_int("sem-elems");
-    const int ssteps = args.get_int("sem-steps");
 
     bench::print_scale_note(
         "one binary, --simd=scalar vs --simd=native per row; CLAMR dam "
         "break " +
-        std::to_string(grid) + "^2 x" + std::to_string(steps) +
-        " steps, SEM thermal bubble " + std::to_string(selems) + "^3 p" +
-        std::to_string(3) + " x" + std::to_string(ssteps) + " steps");
+        std::to_string(grid) + "^2 x" + std::to_string(steps) + " steps");
 
     util::TextTable t("SIMD speedup: scalar vs native pack kernels "
                       "(bit-identical state required)");
@@ -127,18 +104,6 @@ int main(int argc, char** argv) {
         clamr_pair.template operator()<fp::MinimumPrecision>("minimum");
     clamr_pair.template operator()<fp::MixedPrecision>("mixed");
     clamr_pair.template operator()<fp::FullPrecision>("full");
-
-    auto sem_pair = [&]<typename P>(const std::string& label) {
-        const ModeRun scal =
-            best(run_sem<P>(selems, 3, ssteps, simd::Mode::Scalar),
-                 run_sem<P>(selems, 3, ssteps, simd::Mode::Scalar));
-        const ModeRun nat =
-            best(run_sem<P>(selems, 3, ssteps, simd::Mode::Native),
-                 run_sem<P>(selems, 3, ssteps, simd::Mode::Native));
-        add_row("SEM volume / " + label, scal, nat);
-    };
-    sem_pair.template operator()<fp::MinimumPrecision>("single");
-    sem_pair.template operator()<fp::FullPrecision>("double");
 
     t.print();
     std::printf(

@@ -275,7 +275,6 @@ void DistributedShallowSolver<Policy>::complete_halos() {
 template <fp::PrecisionPolicy Policy>
 void DistributedShallowSolver<Policy>::precompute_rows(Rank& rk, int j0,
                                                        int j1) {
-    const bool native = simd::use_native(cfg_.simd);
     for (int j = j0; j <= j1; ++j) {
         shallow::detail::RowPreArgs<storage_t, compute_t> args{
             rk.h.data() + idx(j, 0),  rk.hu.data() + idx(j, 0),
@@ -284,11 +283,8 @@ void DistributedShallowSolver<Policy>::precompute_rows(Rank& rk, int j0,
             rk.sx.data() + idx(j, 0), rk.sy.data() + idx(j, 0),
             rk.p.data() + idx(j, 0),  cfg_.nx + 2,
             static_cast<compute_t>(cfg_.gravity)};
-        const compute_t ws =
-            native ? shallow::detail::dist_pre_row<
-                         storage_t, compute_t,
-                         simd::native_lanes<compute_t>>(args)
-                   : shallow::detail::dist_pre_row_scalar(args);
+        const compute_t ws = shallow::detail::dist_pre_row<
+            storage_t, compute_t, simd::native_lanes<compute_t>>(args);
         rk.wavespeed = ws > rk.wavespeed ? ws : rk.wavespeed;
     }
 }
@@ -313,7 +309,6 @@ void DistributedShallowSolver<Policy>::precompute_interior() {
 template <fp::PrecisionPolicy Policy>
 void DistributedShallowSolver<Policy>::update_rows(Rank& rk, int j0,
                                                    int j1, double dt) {
-    const bool native = simd::use_native(cfg_.simd);
     const compute_t dtdx = static_cast<compute_t>(dt / dx_);
     const compute_t dtdy = static_cast<compute_t>(dt / dy_);
     for (int j = j0; j <= j1; ++j) {
@@ -332,11 +327,8 @@ void DistributedShallowSolver<Policy>::update_rows(Rank& rk, int j0,
             rk.sy.data() + idx(j + 1, 0), rk.p.data() + idx(j + 1, 0),
             rk.h2.data() + idx(j, 0),     rk.hu2.data() + idx(j, 0),
             rk.hv2.data() + idx(j, 0),    cfg_.nx, dtdx, dtdy};
-        if (native)
-            shallow::detail::dist_update_row<
-                storage_t, compute_t, simd::native_lanes<compute_t>>(args);
-        else
-            shallow::detail::dist_update_row_scalar(args);
+        shallow::detail::dist_update_row<storage_t, compute_t,
+                                         simd::native_lanes<compute_t>>(args);
         // Refresh the new row's x mirror ghosts right away, so the next
         // step's pack/precompute sees consistent walls after the swap.
         mirror_ghost_columns(rk.h2, rk.hu2, rk.hv2, j);
@@ -542,8 +534,8 @@ double DistributedShallowSolver<Policy>::step() {
                        static_cast<std::uint64_t>(cfg_.ny);
     const auto threads = static_cast<std::uint32_t>(
         std::min<int>(util::max_threads(), cfg_.ranks));
-    const auto lanes = static_cast<std::uint32_t>(
-        simd::lanes_for<compute_t>(cfg_.simd));
+    constexpr auto lanes =
+        static_cast<std::uint32_t>(simd::native_lanes<compute_t>);
     constexpr bool sp = std::is_same_v<compute_t, float>;
     constexpr bool mixed = sizeof(storage_t) != sizeof(compute_t);
     ledger_.record("dist_pre", s_pre, sp ? cells * kPreFlopsPerCell : 0,

@@ -10,7 +10,7 @@
 // as it goes — so dt is known before any flux work and the historic
 // second full-grid dt sweep is gone. The interior rows then run the
 // fused flux + apply kernel (shallow/flux_kernel.hpp's dist_update_row,
-// `--simd=scalar|native` dispatch) into persistent double-buffered state,
+// at native pack width) into persistent double-buffered state,
 // the two ghost-adjacent rows per rank finish after receipt, and the
 // buffers swap — no increment arrays, no separate apply sweep, and zero
 // steady-state allocations.
@@ -19,7 +19,7 @@
 // ghost values are bit-identical to the owner's values, ranks are
 // independent given their ghosts, and the wavespeed max is order-free, the
 // *state* evolution is bitwise independent of the rank count, the thread
-// count, the SIMD width, the overlap mode, and the row partition — which
+// count, the overlap mode, and the row partition — which
 // is what lets measured-cost dynamic load balancing re-split the stripes
 // mid-run without touching a bit of the solution. The *diagnostics* are
 // only as reproducible as their reduction algorithm — precisely the
@@ -38,7 +38,6 @@
 #include "par/comm.hpp"
 #include "par/reduce.hpp"
 #include "perf/counters.hpp"
-#include "simd/dispatch.hpp"
 #include "util/timing.hpp"
 
 namespace tp::par {
@@ -52,7 +51,6 @@ struct DistConfig {
     double courant = 0.2;
     int ranks = 4;
     ReduceAlgorithm mass_algorithm = ReduceAlgorithm::Naive;
-    simd::Mode simd = simd::Mode::Auto;
     /// Overlapped pipeline (post / interior / complete / boundary) when
     /// true, classic BSP (exchange, then all rows) when false. Bitwise
     /// identical either way; BSP is the measured baseline.

@@ -43,7 +43,7 @@ struct KernelWork {
                                    ///< global vectorized/scalar option),
                                    ///< 1 = explicit scalar path, >1 = pack
                                    ///< width of the vector path. Fed by the
-                                   ///< simd::Mode dispatch in the solvers.
+                                   ///< solvers' kernel dispatch.
 
     [[nodiscard]] std::uint64_t flops() const { return flops_sp + flops_dp; }
 

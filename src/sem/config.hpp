@@ -3,8 +3,6 @@
 // SELF analogue): atmosphere constants, bubble initial condition, mesh and
 // discretization parameters.
 
-#include "simd/dispatch.hpp"
-
 namespace tp::sem {
 
 /// Dry-air ideal-gas atmosphere with a constant-potential-temperature
@@ -68,9 +66,6 @@ struct SemConfig {
     /// compressible Navier-Stokes equations SELF solves.
     double viscosity = 0.0;
     double prandtl = 0.72;        ///< Pr = mu cp / k for the heat flux
-    /// Instruction shape of the volume/gradient/filter micro-kernels:
-    /// native pack width or the bit-identical W = 1 scalar fallback.
-    simd::Mode simd = simd::Mode::Auto;
 };
 
 }  // namespace tp::sem

@@ -287,33 +287,10 @@ auto SpectralEulerSolver<Policy>::filter_args()
 
 template <fp::PrecisionPolicy Policy>
 template <typename S>
-void SpectralEulerSolver<Policy>::volume_sweep_native() {
-    detail::volume_sweep<S, storage_t, compute_t, simd::native_lanes<S>>(
-        volume_args());
-}
-
-template <fp::PrecisionPolicy Policy>
-template <typename S>
-void SpectralEulerSolver<Policy>::gradient_sweep_native() {
-    detail::gradient_sweep<S, storage_t, compute_t, simd::native_lanes<S>>(
-        gradient_args());
-}
-
-template <fp::PrecisionPolicy Policy>
-void SpectralEulerSolver<Policy>::filter_sweep_native() {
-    detail::filter_sweep<storage_t, compute_t,
-                         simd::native_lanes<compute_t>>(filter_args());
-}
-
-template <fp::PrecisionPolicy Policy>
-template <typename S>
 void SpectralEulerSolver<Policy>::volume_kernel() {
     obs::Phase phase("sem.volume", timers_, "volume");
-    const bool native = simd::use_native(cfg_.simd);
-    if (native)
-        volume_sweep_native<S>();
-    else
-        volume_sweep_scalar<S>();
+    detail::volume_sweep<S, storage_t, compute_t, simd::native_lanes<S>>(
+        volume_args());
 
     const std::uint64_t nodes = num_nodes();
     const std::uint64_t flops =
@@ -326,10 +303,7 @@ void SpectralEulerSolver<Policy>::volume_kernel() {
             ? nodes * 8
             : 0;
     account("volume", phase.stop(), flops, bytes, converts,
-            nodes * 10 * sizeof(compute_t),
-            native ? static_cast<std::uint32_t>(
-                         simd::native_lanes<compute_t>)
-                   : 1u);
+            nodes * 10 * sizeof(compute_t), simd::native_lanes<compute_t>);
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -529,14 +503,9 @@ void SpectralEulerSolver<Policy>::gradient_kernel() {
         out[3] = pf * inv / rgas;  // temperature
     };
 
-    // Volume pass: fused primitive evaluation + line contractions, width
-    // selected at run time. The face corrections below are one shared code
-    // path, so scalar/native bit-equality only depends on the sweep.
-    const bool native = simd::use_native(cfg_.simd);
-    if (native)
-        gradient_sweep_native<S>();
-    else
-        gradient_sweep_scalar<S>();
+    // Volume pass: fused primitive evaluation + line contractions.
+    detail::gradient_sweep<S, storage_t, compute_t, simd::native_lanes<S>>(
+        gradient_args());
 
     // Surface corrections: both sides of an interior face receive
     // lift * (p_central - p_side) * n = lift * (pR - pL)/2 in the face
@@ -611,9 +580,7 @@ void SpectralEulerSolver<Policy>::gradient_kernel() {
     account("gradient", phase.stop(),
             nodes * static_cast<std::uint64_t>(20 + 18 * np),
             nodes * 8 * sizeof(storage_t), 0,
-            nodes * 12 * sizeof(compute_t),
-            native ? static_cast<std::uint32_t>(simd::native_lanes<compute_t>)
-                   : 1u);
+            nodes * 12 * sizeof(compute_t), simd::native_lanes<compute_t>);
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -1005,10 +972,14 @@ void SpectralEulerSolver<Policy>::shadow_profile_rhs() {
 }
 
 // Governor telemetry: the same interior-node reference, observed on the
-// float lattice so reduced and promoted sweeps are scored comparably — a
-// promoted (double-scalar) sweep reproduces the reference bit-for-bit and
-// reports zero drift, which is what the hysteresis counter counts as a
-// clean step. All five variables pool into one signal per kernel.
+// float lattice so reduced and promoted sweeps are scored comparably. In
+// the double-compute policies a promoted (double-scalar) sweep reproduces
+// the reference bit-for-bit and reports zero drift, which is what the
+// hysteresis counter counts as a clean step. Minimum precision's r_ is
+// float, and volume_element rounds the gravity source and the flux
+// divergence into it separately, so its promoted steps read 1-91 ULP: at
+// a zero drift budget it promotes and never demotes. All five variables
+// pool into one signal per kernel.
 template <fp::PrecisionPolicy Policy>
 void SpectralEulerSolver<Policy>::governed_monitor_rhs() {
     obs::DivergenceStats stats[kVars];
@@ -1220,13 +1191,10 @@ template <fp::PrecisionPolicy Policy>
 void SpectralEulerSolver<Policy>::apply_filter() {
     obs::Phase phase("sem.filter", timers_, "filter");
     const int np = np_;
-    const bool native = simd::use_native(cfg_.simd);
     const bool shadow = obs::shadow_kernel_active("sem.filter");
     if (shadow) shadow_profile_filter_capture();
-    if (native)
-        filter_sweep_native();
-    else
-        filter_sweep_scalar();
+    detail::filter_sweep<storage_t, compute_t,
+                         simd::native_lanes<compute_t>>(filter_args());
     if (shadow) shadow_profile_filter_observe();
     const std::uint64_t nodes = num_nodes();
     account("filter", phase.stop(),
@@ -1237,8 +1205,7 @@ void SpectralEulerSolver<Policy>::apply_filter() {
                 ? nodes * kVars * 2
                 : 0,
             nodes * kVars * 2 * sizeof(compute_t),
-            native ? static_cast<std::uint32_t>(simd::native_lanes<compute_t>)
-                   : 1u);
+            simd::native_lanes<compute_t>);
 }
 
 template <fp::PrecisionPolicy Policy>

@@ -40,7 +40,6 @@
 #include "sem/config.hpp"
 #include "sem/operators.hpp"
 #include "sem/quadrature.hpp"
-#include "simd/dispatch.hpp"
 #include "util/timing.hpp"
 
 namespace tp::fp {
@@ -184,8 +183,7 @@ public:
 
     /// Exact bit pattern of the five state fields, as raw bytes. Two runs
     /// whose fingerprints compare equal produced bitwise-identical
-    /// solutions — how the --simd=scalar / --simd=native equivalence is
-    /// verified (bench/table_simd_speedup, tests/test_simd.cpp).
+    /// solutions (tests/golden/sem_state.txt pins their digests).
     [[nodiscard]] std::string state_fingerprint() const {
         std::string bits;
         bits.reserve(num_nodes() * kVars * sizeof(storage_t));
@@ -223,20 +221,6 @@ private:
     void gradient_kernel();
     template <typename S>
     void viscous_kernel();
-    // Width-specific bodies of the fused micro-kernels: the *_native
-    // variants (dgsem.cpp) instantiate the pack templates at native lanes,
-    // the *_scalar variants live in sem_scalar.cpp, compiled with the
-    // auto-vectorizer off, at W = 1. Bit-identical by the pack contract.
-    template <typename S>
-    void volume_sweep_native();
-    template <typename S>
-    void volume_sweep_scalar();
-    template <typename S>
-    void gradient_sweep_native();
-    template <typename S>
-    void gradient_sweep_scalar();
-    void filter_sweep_native();
-    void filter_sweep_scalar();
     [[nodiscard]] detail::VolumeArgs<storage_t, compute_t> volume_args();
     [[nodiscard]] detail::GradientArgs<storage_t, compute_t> gradient_args();
     [[nodiscard]] detail::FilterArgs<storage_t, compute_t> filter_args();

@@ -2,12 +2,11 @@
 // Fused, width-templated tensor-product micro-kernels for the DGSEM hot
 // loops (DESIGN.md §"SIMD kernel layer"): the volume flux divergence, the
 // BR1 primitive-variable gradients, and the modal filter, each expressed
-// once over simd::pack<_, W> and instantiated at W = 1 (the scalar
-// baseline, compiled with the auto-vectorizer off in sem_scalar.cpp) and
-// W = native_lanes (in dgsem.cpp). "Fused" means one element-local pass
-// builds the node fluxes and immediately contracts them — the flux scratch
-// never leaves the per-thread arena slice, so step() allocates nothing at
-// steady state.
+// once over simd::pack<_, W> and instantiated in dgsem.cpp at
+// W = native_lanes (1 in a -DTP_ENABLE_SIMD=OFF build). "Fused" means one
+// element-local pass builds the node fluxes and immediately contracts
+// them — the flux scratch never leaves the per-thread arena slice, so
+// step() allocates nothing at steady state.
 //
 // np-specialization: the drivers dispatch the element order at compile
 // time for the common nodes-per-direction counts (np ∈ {4, 6, 8} — orders
@@ -20,8 +19,8 @@
 // per-lane IEEE, every output node accumulates its m-contributions in
 // ascending order in each of the x/y/z passes, and the kernel TUs compile
 // with -ffp-contract=off — so every (NP, W) instantiation produces
-// bit-identical results, which is what bench/table_simd_speedup and
-// tests/test_simd.cpp verify.
+// bit-identical results. tests/golden/sem_state.txt pins those bits, so a
+// -DTP_ENABLE_SIMD=OFF build of test_golden checks the W = 1 kernels.
 
 #include <cstddef>
 #include <cstdint>

@@ -416,18 +416,13 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock& B) {
 // (par/dist_shallow.*). Unlike the AMR fallback above (whose gathers force
 // the explicit pack form), the distributed rows are pure unit-stride, so
 // the kernels are written as flat `#pragma omp simd` loops of scalar IEEE
-// expressions, like the tile kernel. The two instruction shapes come from
-// the translation unit and the width tag: the W == 1 instantiation lives
-// in the no-autovec TU (flux_scalar.cpp) and its `if(simd: W > 1)` loops
-// stay genuinely scalar, the W == native_lanes<C> instantiation lives in
-// the -ffp-contract=off solver TU where the vectorizer lowers the
-// annotated loop to full-width SIMD. (The width parameter also keeps the
-// two instantiations distinct symbols — an unparameterized inline
-// function would be merged by the linker and one TU's codegen would
-// silently win.) Every operation is an individually
-// rounded IEEE op in either shape and contraction is off in both TUs, so
-// scalar and native are bit-identical per cell — same contract as the
-// pack kernels, enforced by tests/bench gates.
+// expressions, like the tile kernel. The only instantiation is
+// W == native_lanes<C>, in the -ffp-contract=off solver TU, where the
+// vectorizer lowers the annotated loop to full-width SIMD; in a
+// -DTP_ENABLE_SIMD=OFF build W is 1 and the `if(simd: W > 1)` clause keeps
+// the loops scalar. Every operation is an individually rounded IEEE op in
+// either shape, so the result does not depend on W — same contract as
+// the pack kernels; Golden.DistGatherHeightDigests pins the bits.
 //
 // Rows carry one mirror ghost column per side (h copied, hu negated, hv
 // copied), so every access in the sweep is unit-stride: the center row
@@ -629,26 +624,5 @@ inline void dist_update_row(const RowUpdateArgs<S, C>& A) {
                                   dtdy * (fS1 - fN1));
     }
 }
-
-/// The W == 1 sweeps, defined in flux_scalar.cpp (the no-autovec TU) so
-/// `--simd=scalar` measures true one-lane issue in the distributed
-/// solver exactly as it does in the AMR one.
-template <typename S, typename C>
-C dist_pre_row_scalar(const RowPreArgs<S, C>& A);
-template <typename S, typename C>
-void dist_update_row_scalar(const RowUpdateArgs<S, C>& A);
-
-extern template float dist_pre_row_scalar<float, float>(
-    const RowPreArgs<float, float>&);
-extern template double dist_pre_row_scalar<float, double>(
-    const RowPreArgs<float, double>&);
-extern template double dist_pre_row_scalar<double, double>(
-    const RowPreArgs<double, double>&);
-extern template void dist_update_row_scalar<float, float>(
-    const RowUpdateArgs<float, float>&);
-extern template void dist_update_row_scalar<float, double>(
-    const RowUpdateArgs<float, double>&);
-extern template void dist_update_row_scalar<double, double>(
-    const RowUpdateArgs<double, double>&);
 
 }  // namespace tp::shallow::detail

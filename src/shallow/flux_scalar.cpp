@@ -64,36 +64,4 @@ template void ShallowWaterSolver<fp::FullPrecision>::flux_sweep_alt_scalar();
 template void
 ShallowWaterSolver<fp::HalfStoragePrecision>::flux_sweep_alt_scalar();
 
-// The distributed solver's uniform-grid row sweep at W == 1, under the
-// same contract: this TU is the only place the scalar instantiation
-// lives, so `--simd=scalar` in par/dist_shallow measures true one-lane
-// issue too.
-namespace detail {
-
-template <typename S, typename C>
-C dist_pre_row_scalar(const RowPreArgs<S, C>& A) {
-    return dist_pre_row<S, C, 1>(A);
-}
-
-template <typename S, typename C>
-void dist_update_row_scalar(const RowUpdateArgs<S, C>& A) {
-    dist_update_row<S, C, 1>(A);
-}
-
-template float dist_pre_row_scalar<float, float>(
-    const RowPreArgs<float, float>&);
-template double dist_pre_row_scalar<float, double>(
-    const RowPreArgs<float, double>&);
-template double dist_pre_row_scalar<double, double>(
-    const RowPreArgs<double, double>&);
-
-template void dist_update_row_scalar<float, float>(
-    const RowUpdateArgs<float, float>&);
-template void dist_update_row_scalar<float, double>(
-    const RowUpdateArgs<float, double>&);
-template void dist_update_row_scalar<double, double>(
-    const RowUpdateArgs<double, double>&);
-
-}  // namespace detail
-
 }  // namespace tp::shallow

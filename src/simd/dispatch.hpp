@@ -1,7 +1,7 @@
 #pragma once
 // Runtime selection between the packed (native-width) and scalar kernel
-// variants. Every kernel that has both shapes consults a simd::Mode held
-// in its solver config:
+// variants of CLAMR's flux sweep, the one kernel Table III measures both
+// ways. shallow::Config::simd holds the mode:
 //
 //   Auto   — use the native packs when the build has a vector unit
 //            (native_lanes > 1), otherwise fall back to scalar;
@@ -46,13 +46,6 @@ enum class Mode { Auto, Scalar, Native };
 /// True when `m` resolves to the packed path.
 [[nodiscard]] constexpr bool use_native(Mode m) {
     return resolve(m) == Mode::Native;
-}
-
-/// Lane count mode `m` yields for compute type T (what a kernel should
-/// record in its WorkLedger as the SIMD width it actually ran with).
-template <typename T>
-[[nodiscard]] constexpr int lanes_for(Mode m) {
-    return use_native(m) ? native_lanes<T> : 1;
 }
 
 }  // namespace tp::simd

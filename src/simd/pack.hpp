@@ -19,15 +19,18 @@
 // another; fused multiply-add is available only on request through
 // simd::fma(), which is fused (std::fma) in every instantiation. Together
 // these make a kernel templated over W produce bit-identical results for
-// every W, which is what lets `--simd=native` runs be verified bitwise
-// against `--simd=scalar` (bench/table_simd_speedup, tests/test_simd.cpp).
+// every W, which is what lets CLAMR's `--simd=native` runs be verified
+// bitwise against `--simd=scalar` (bench/table_simd_speedup,
+// tests/test_simd.cpp).
 //
 // Width selection: native_lanes<T> is the widest hardware width for T on
 // the target ISA (detected at compile time), so `float` state gets twice
 // the lanes of `double` — the mechanism behind the paper's Table III
 // "minimum precision doubles effective SIMD width" argument. Forcing
 // TP_SIMD_FORCE_SCALAR (CMake -DTP_ENABLE_SIMD=OFF) pins native_lanes to 1
-// so every runtime mode degrades to the scalar fallback.
+// so every runtime mode degrades to the scalar fallback, and the SEM and
+// distributed kernels, which run only at native width, run at W = 1:
+// that build's test_golden checks them against the same digests.
 
 #include <cmath>
 #include <cstdint>

@@ -192,7 +192,7 @@ int apply_threads_option(const ArgParser& args) {
 
 void add_simd_option(ArgParser& args) {
     args.add_option("simd",
-                    "Kernel instruction shape: auto|scalar|native "
+                    "Flux-sweep instruction shape: auto|scalar|native "
                     "(bit-identical results; auto picks native when the "
                     "build has a vector unit)",
                     "auto");

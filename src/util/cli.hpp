@@ -84,8 +84,8 @@ void add_threads_option(ArgParser& args);
 int apply_threads_option(const ArgParser& args);
 
 /// Register the standard `--simd auto|scalar|native` option selecting the
-/// kernel instruction shape at runtime (results are bit-identical across
-/// modes within a precision policy).
+/// CLAMR flux sweep's instruction shape at runtime (results are
+/// bit-identical across modes within a precision policy).
 void add_simd_option(ArgParser& args);
 
 /// Parse the `--simd` value; throws std::invalid_argument on junk.

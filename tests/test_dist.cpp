@@ -45,22 +45,20 @@ namespace {
 
 template <typename P>
 par::DistributedShallowSolver<P> make_solver(int grid, int ranks,
-                                             bool overlap, simd::Mode mode,
+                                             bool overlap,
                                              int lb_interval = 0) {
     par::DistConfig cfg;
     cfg.nx = cfg.ny = grid;
     cfg.ranks = ranks;
     cfg.overlap = overlap;
-    cfg.simd = mode;
     cfg.lb_interval = lb_interval;
     return par::DistributedShallowSolver<P>(cfg);
 }
 
 template <typename P>
 std::vector<double> height_after(int grid, int steps, int ranks,
-                                 bool overlap, simd::Mode mode,
-                                 int lb_interval = 0) {
-    auto s = make_solver<P>(grid, ranks, overlap, mode, lb_interval);
+                                 bool overlap, int lb_interval = 0) {
+    auto s = make_solver<P>(grid, ranks, overlap, lb_interval);
     s.initialize_dam_break();
     s.run(steps);
     EXPECT_TRUE(s.comm_drained());
@@ -73,8 +71,7 @@ std::vector<double> height_after(int grid, int steps, int ranks,
 // allocations, in every schedule and at every rank count.
 TEST(DistAllocations, SteadyStateStepIsAllocationFree) {
     for (const bool overlap : {false, true}) {
-        auto s = make_solver<fp::MixedPrecision>(32, 3, overlap,
-                                                 simd::Mode::Native);
+        auto s = make_solver<fp::MixedPrecision>(32, 3, overlap);
         s.initialize_dam_break();
         s.run(3);  // warm the comm pool and every lazy scratch buffer
         (void)s.total_mass();
@@ -92,7 +89,7 @@ TEST(DistAllocations, SteadyStateStepIsAllocationFree) {
 // reallocate rank stripes (allowed — the partition changed), but a
 // uniform-cost evaluation that moves nothing must stay allocation-free.
 TEST(DistAllocations, UniformRebalanceIsAllocationFree) {
-    auto s = make_solver<fp::FullPrecision>(32, 4, true, simd::Mode::Native);
+    auto s = make_solver<fp::FullPrecision>(32, 4, true);
     s.initialize_dam_break();
     s.run(2);
     const std::vector<double> uniform(32, 1.0);
@@ -104,25 +101,19 @@ TEST(DistAllocations, UniformRebalanceIsAllocationFree) {
 }
 
 // Decomposition-invariance matrix: the height field must repeat to the
-// last bit across rank counts (1, R, one-row-per-rank), both schedules,
-// and both SIMD shapes, for every precision policy — the contract the
-// overlapped pipeline, the kernel dispatch, and the halo path all hang
-// off. (bench/table_dist_scaling gates the same property at larger
+// last bit across rank counts (1, R, one-row-per-rank) and both
+// schedules, for every precision policy — the contract the overlapped
+// pipeline and the halo path hang off. The 1-rank BSP run is the
+// reference. (bench/table_dist_scaling gates the same property at larger
 // sizes; this is the fast in-suite version.)
 template <typename P>
 void invariance_matrix() {
     const int grid = 24, steps = 12;
-    const auto ref = height_after<P>(grid, steps, 1, false,
-                                     simd::Mode::Scalar);
+    const auto ref = height_after<P>(grid, steps, 1, false);
     for (const int ranks : {2, 3, grid})
         for (const bool overlap : {false, true})
-            for (const auto mode :
-                 {simd::Mode::Scalar, simd::Mode::Native})
-                EXPECT_EQ(height_after<P>(grid, steps, ranks, overlap,
-                                          mode),
-                          ref)
-                    << ranks << " ranks, overlap=" << overlap
-                    << ", native=" << (mode == simd::Mode::Native);
+            EXPECT_EQ(height_after<P>(grid, steps, ranks, overlap), ref)
+                << ranks << " ranks, overlap=" << overlap;
 }
 
 TEST(DistInvariance, MinimumPrecision) {
@@ -139,9 +130,8 @@ TEST(DistInvariance, FullPrecision) {
 // re-split carries every row over exactly.
 TEST(DistInvariance, PeriodicLoadBalancingDoesNotChangeState) {
     const auto ref = height_after<fp::MixedPrecision>(
-        24, 12, 3, true, simd::Mode::Native, /*lb_interval=*/0);
+        24, 12, 3, true, /*lb_interval=*/0);
     EXPECT_EQ(height_after<fp::MixedPrecision>(24, 12, 3, true,
-                                               simd::Mode::Native,
                                                /*lb_interval=*/4),
               ref);
 }
@@ -150,13 +140,11 @@ TEST(DistInvariance, PeriodicLoadBalancingDoesNotChangeState) {
 // not change bits relative to an undisturbed run.
 TEST(DistLoadBalance, SkewedResplitCarriesStateExactly) {
     const int grid = 24;
-    auto undisturbed = make_solver<fp::FullPrecision>(grid, 3, true,
-                                                      simd::Mode::Native);
+    auto undisturbed = make_solver<fp::FullPrecision>(grid, 3, true);
     undisturbed.initialize_dam_break();
     undisturbed.run(10);
 
-    auto resplit = make_solver<fp::FullPrecision>(grid, 3, true,
-                                                  simd::Mode::Native);
+    auto resplit = make_solver<fp::FullPrecision>(grid, 3, true);
     resplit.initialize_dam_break();
     resplit.run(4);
     std::vector<double> skew(grid, 1.0);
@@ -173,7 +161,7 @@ TEST(DistLoadBalance, SkewedResplitCarriesStateExactly) {
 // A uniform-cost re-split reproduces the constructor's partition — the
 // balancer is a fixed point at balance, so a healthy run never churns.
 TEST(DistLoadBalance, UniformCostIsANoOp) {
-    auto s = make_solver<fp::FullPrecision>(30, 4, true, simd::Mode::Native);
+    auto s = make_solver<fp::FullPrecision>(30, 4, true);
     s.initialize_dam_break();
     const auto before = s.row_partition();
     const std::vector<double> uniform(30, 1.0);
@@ -192,8 +180,7 @@ TEST(DistLoadBalance, UniformCostIsANoOp) {
 TEST(HaloLedger, PerPhaseBytesSumToTotalAndMatchBsp) {
     std::uint64_t totals[2] = {};
     for (const bool overlap : {false, true}) {
-        auto s = make_solver<fp::MixedPrecision>(24, 3, overlap,
-                                                 simd::Mode::Native);
+        auto s = make_solver<fp::MixedPrecision>(24, 3, overlap);
         s.initialize_dam_break();
         s.run(10);
         const auto* post = s.ledger().find("dist_halo_post");
@@ -211,7 +198,7 @@ TEST(HaloLedger, PerPhaseBytesSumToTotalAndMatchBsp) {
 // In the overlapped schedule every face payload is posted before the
 // wait, so the post phase must carry all of the traffic.
 TEST(HaloLedger, OverlapPostsAllBytesBeforeTheWait) {
-    auto s = make_solver<fp::FullPrecision>(24, 3, true, simd::Mode::Native);
+    auto s = make_solver<fp::FullPrecision>(24, 3, true);
     s.initialize_dam_break();
     s.run(5);
     const auto* post = s.ledger().find("dist_halo_post");
@@ -252,47 +239,42 @@ std::map<int, std::uint64_t> edge_bytes_by_src(const std::string& path) {
 // Message-edge conservation: summed over the trace, the per-edge byte
 // counts must reproduce the comm layer's sent-byte counters — per source
 // rank and in total — and that total must equal the work ledger's
-// dist_halo_post + dist_halo_wait split. Checked across rank counts,
-// both schedules, and both SIMD shapes; comm_drained() guarantees every
-// posted byte was delivered, so posting-side and delivery-side
-// accounting must agree exactly.
+// dist_halo_post + dist_halo_wait split. Checked across rank counts and
+// both schedules; comm_drained() guarantees every posted byte was
+// delivered, so posting-side and delivery-side accounting must agree
+// exactly.
 TEST(DistTracing, EdgeBytesMatchCommAndWorkLedgers) {
     for (const int ranks : {2, 4}) {
         for (const bool overlap : {false, true}) {
-            for (const auto mode :
-                 {simd::Mode::Scalar, simd::Mode::Native}) {
-                const std::string path =
-                    ::testing::TempDir() + "dist_edges.trace.json";
-                obs::trace_start(path);
-                auto s = make_solver<fp::MixedPrecision>(24, ranks,
-                                                         overlap, mode);
-                s.initialize_dam_break();
-                s.run(6);
-                EXPECT_TRUE(s.comm_drained());
-                const std::uint64_t total = s.halo_bytes_sent();
-                std::vector<std::uint64_t> per_rank;
-                for (int r = 0; r < ranks; ++r)
-                    per_rank.push_back(s.halo_bytes_sent(r));
-                EXPECT_GT(obs::trace_stop(), 0u);
+            const std::string path =
+                ::testing::TempDir() + "dist_edges.trace.json";
+            obs::trace_start(path);
+            auto s = make_solver<fp::MixedPrecision>(24, ranks, overlap);
+            s.initialize_dam_break();
+            s.run(6);
+            EXPECT_TRUE(s.comm_drained());
+            const std::uint64_t total = s.halo_bytes_sent();
+            std::vector<std::uint64_t> per_rank;
+            for (int r = 0; r < ranks; ++r)
+                per_rank.push_back(s.halo_bytes_sent(r));
+            EXPECT_GT(obs::trace_stop(), 0u);
 
-                std::map<int, std::uint64_t> by_src;
-                by_src = edge_bytes_by_src(path);
-                std::uint64_t edge_total = 0;
-                for (const auto& [src, bytes] : by_src) edge_total += bytes;
-                EXPECT_EQ(edge_total, total)
-                    << ranks << " ranks, overlap=" << overlap;
-                for (int r = 0; r < ranks; ++r)
-                    EXPECT_EQ(by_src[r], per_rank[static_cast<std::size_t>(
-                                             r)])
-                        << "rank " << r << " of " << ranks
-                        << ", overlap=" << overlap;
+            std::map<int, std::uint64_t> by_src;
+            by_src = edge_bytes_by_src(path);
+            std::uint64_t edge_total = 0;
+            for (const auto& [src, bytes] : by_src) edge_total += bytes;
+            EXPECT_EQ(edge_total, total)
+                << ranks << " ranks, overlap=" << overlap;
+            for (int r = 0; r < ranks; ++r)
+                EXPECT_EQ(by_src[r], per_rank[static_cast<std::size_t>(r)])
+                    << "rank " << r << " of " << ranks
+                    << ", overlap=" << overlap;
 
-                const auto* post = s.ledger().find("dist_halo_post");
-                const auto* wait = s.ledger().find("dist_halo_wait");
-                ASSERT_NE(post, nullptr);
-                ASSERT_NE(wait, nullptr);
-                EXPECT_EQ(post->bytes + wait->bytes, total);
-            }
+            const auto* post = s.ledger().find("dist_halo_post");
+            const auto* wait = s.ledger().find("dist_halo_wait");
+            ASSERT_NE(post, nullptr);
+            ASSERT_NE(wait, nullptr);
+            EXPECT_EQ(post->bytes + wait->bytes, total);
         }
     }
 }
@@ -302,10 +284,10 @@ TEST(DistTracing, EdgeBytesMatchCommAndWorkLedgers) {
 TEST(DistTracing, TracedRunIsBitwiseIdenticalToUntraced) {
     ASSERT_FALSE(obs::trace_enabled());
     const auto ref = height_after<fp::MixedPrecision>(
-        24, 12, 3, true, simd::Mode::Native, /*lb_interval=*/4);
+        24, 12, 3, true, /*lb_interval=*/4);
     obs::trace_start(::testing::TempDir() + "dist_invisible.trace.json");
     const auto traced = height_after<fp::MixedPrecision>(
-        24, 12, 3, true, simd::Mode::Native, /*lb_interval=*/4);
+        24, 12, 3, true, /*lb_interval=*/4);
     EXPECT_GT(obs::trace_stop(), 0u);
     EXPECT_EQ(traced, ref);
 }

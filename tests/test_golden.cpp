@@ -9,11 +9,12 @@
 //   - dist_gather_height.txt: the row-stripe distributed solver's
 //     gather_height() field, per policy x rank count x schedule;
 //   - sem_state.txt: the SEM solver's state_fingerprint() after a thermal
-//     bubble, per policy x SIMD shape x order, plus a viscous run and
-//     governed runs that switch the rhs kernels' compute precision.
+//     bubble, per policy x order, plus a viscous run and governed runs
+//     that switch the rhs kernels' compute precision.
 // The arithmetic is IEEE-deterministic (no contraction in kernel TUs,
 // fixed-shape reductions), so the digests hold on any x86-64 host, at
-// any thread count.
+// any thread count, and at any pack width: a -DTP_ENABLE_SIMD=OFF build
+// computes the "native" lines with the W = 1 kernels and must match them.
 //
 // A mismatch prints the file's text and the recomputed text with a line
 // diff. After an intentional change to the numerics, the recomputed text
@@ -214,12 +215,11 @@ constexpr int kSemSideOrder = 5;
 // Digest of state_fingerprint() after kSemSteps steps, with `gov` (if any)
 // attached and stepped like a driver does.
 template <typename P>
-std::uint64_t sem_digest(int order, simd::Mode mode, double viscosity,
+std::uint64_t sem_digest(int order, double viscosity,
                          fp::PrecisionGovernor* gov) {
     sem::SemConfig cfg;
     cfg.nx = cfg.ny = cfg.nz = kSemElems;
     cfg.order = order;
-    cfg.simd = mode;
     cfg.viscosity = viscosity;
     sem::SpectralEulerSolver<P> s(cfg);
     if (gov != nullptr) s.set_governor(gov);
@@ -233,12 +233,10 @@ std::uint64_t sem_digest(int order, simd::Mode mode, double viscosity,
 
 template <typename P>
 void sem_digests(std::string& text) {
-    for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native})
-        for (const int order : {5, 7})
-            add_digest(text,
-                       std::string(P::name) + ' ' + simd::to_string(mode) +
-                           " N" + std::to_string(order),
-                       sem_digest<P>(order, mode, 0.0, nullptr));
+    for (const int order : {5, 7})
+        add_digest(text,
+                   std::string(P::name) + " native N" + std::to_string(order),
+                   sem_digest<P>(order, 0.0, nullptr));
 }
 
 // Zero drift budget: the rhs kernels start in float, so the promote
@@ -257,7 +255,7 @@ void sem_governed_digest(std::string& text) {
     cfg.hysteresis = 3;
     fp::PrecisionGovernor gov(cfg);
     const std::uint64_t digest =
-        sem_digest<P>(kSemSideOrder, simd::Mode::Native, 0.0, &gov);
+        sem_digest<P>(kSemSideOrder, 0.0, &gov);
     std::size_t promotes = 0;
     std::size_t demotes = 0;
     for (const auto& d : gov.decisions())
@@ -285,9 +283,7 @@ TEST(Golden, SemStateDigests) {
     text += "# Viscous (mu = 1 Pa s). Key: viscous policy simd order.\n";
     add_digest(text,
                "viscous full native N" + std::to_string(kSemSideOrder),
-               sem_digest<fp::FullPrecision>(kSemSideOrder,
-                                             simd::Mode::Native, 1.0,
-                                             nullptr));
+               sem_digest<fp::FullPrecision>(kSemSideOrder, 1.0, nullptr));
     text +=
         "# Governed, inviscid: zero drift budget, warmup 1, hysteresis 3.\n"
         "# Key: governed policy simd order.\n";

@@ -11,8 +11,8 @@
 # per instantiation and exits 1 if any holds no packed
 # add/sub/mul/div/sqrt/min/max/fma, or if OBJECT holds no instantiation at
 # all. Run on solver.cpp.o or dgsem.cpp.o (the native, W > 1 kernels) it
-# must pass; on flux_scalar.cpp.o or sem_scalar.cpp.o (the W == 1 kernels,
-# compiled with the auto-vectorizer off) it must fail.
+# must pass; on flux_scalar.cpp.o (the W == 1 flux kernels, compiled with
+# the auto-vectorizer off) it must fail.
 set -euo pipefail
 
 obj=${1:?usage: check_packed_fp.sh OBJECT}
