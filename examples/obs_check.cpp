@@ -3,23 +3,28 @@
 // Checks that a Chrome-trace file and/or a metrics JSON-Lines file are
 // well-formed and carry the records a healthy run must produce:
 //
-//   $ ./obs_check --trace=run.trace.json \
-//                 --metrics=run.metrics.jsonl \
-//                 --require=clamr.step,clamr.flux_sweep,clamr.rezone
+//   $ ./obs_check --trace=run.trace.json --metrics=run.metrics.jsonl
+//         --require=clamr.step,clamr.flux_sweep,clamr.rezone
+//
+// (one command, wrapped without the trailing backslash -Wcomment flags).
 //
 // Exit status is 0 when every check passes, 1 otherwise, with one line
-// per failure on stderr. Uses the same strict JSON validator the emitters
-// are tested against (obs/json.hpp), so CI needs no external JSON tools.
+// per failure on stderr. The rules live in obs/report.hpp: each metrics
+// line is parsed once, checked against its record type's entry in
+// report::record_types() and rolled into the RunSummary that tp_report
+// reads, and the --require-* options are answered from that summary. So
+// CI needs no external JSON tools, and the checker and the analyzer
+// cannot disagree about a record.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/report.hpp"
 #include "util/cli.hpp"
 
 using namespace tp;
@@ -42,99 +47,6 @@ std::vector<std::string> split_csv(const std::string& s) {
     return out;
 }
 
-// The emitters write keys exactly as "key":value with no inner whitespace,
-// so a quoted-substring probe is a reliable presence check for documents
-// that already passed full JSON validation.
-bool has_key(const std::string& doc, const std::string& key) {
-    return doc.find("\"" + key + "\":") != std::string::npos;
-}
-
-bool has_pair(const std::string& doc, const std::string& key,
-              const std::string& value) {
-    return doc.find("\"" + key + "\":\"" + value + "\"") !=
-           std::string::npos;
-}
-
-// Flow-event (halo arrow) validation: every ph:"s" start must carry a
-// unique id and be closed by exactly one ph:"f" finish with the same id
-// at a timestamp no earlier than the start, and every rank-track event
-// (pid 2, including the flow endpoints' src/dst args) must reference a
-// rank the metadata thread_name records declared. A trace that fails any
-// of these renders as dangling or misrouted arrows in Perfetto.
-void check_trace_flows(const std::string& path,
-                       const obs::json::Value& root) {
-    const obs::json::Value* events = root.find("traceEvents");
-    if (events == nullptr || !events->is_array()) return;  // reported above
-    std::set<double> rank_tracks;  // tids named by thread_name metadata
-    for (const obs::json::Value& e : events->items()) {
-        if (e.string_or("ph", "") == "M" &&
-            e.string_or("name", "") == "thread_name" &&
-            e.number_or("pid", -1.0) == 2.0) {
-            const double tid = e.number_or("tid", -1.0);
-            if (tid < 0.0)
-                fail("trace file '" + path +
-                     "' declares a negative rank track id");
-            else
-                rank_tracks.insert(tid);
-        }
-    }
-    std::map<double, double> open_starts;  // flow id -> start ts
-    std::size_t starts = 0;
-    std::size_t finishes = 0;
-    for (const obs::json::Value& e : events->items()) {
-        const std::string ph = e.string_or("ph", "");
-        const bool rank_event =
-            e.number_or("pid", -1.0) == 2.0 && ph != "M";
-        if (rank_event && rank_tracks.count(e.number_or("tid", -1.0)) == 0)
-            fail("trace file '" + path + "' event '" +
-                 e.string_or("name", "?") +
-                 "' sits on an undeclared rank track");
-        if (ph != "s" && ph != "f") continue;
-        const obs::json::Value* id = e.find("id");
-        if (id == nullptr || !id->is_number()) {
-            fail("trace file '" + path + "' flow event has no numeric id");
-            continue;
-        }
-        for (const char* endpoint : {"src", "dst"}) {
-            const obs::json::Value* args = e.find("args");
-            if (args == nullptr ||
-                rank_tracks.count(args->number_or(endpoint, -1.0)) == 0)
-                fail("trace file '" + path + "' flow id " +
-                     std::to_string(id->as_number()) + " names an " +
-                     "out-of-range rank in args." + endpoint);
-        }
-        if (ph == "s") {
-            ++starts;
-            if (!open_starts
-                     .emplace(id->as_number(), e.number_or("ts", 0.0))
-                     .second)
-                fail("trace file '" + path + "' reuses flow id " +
-                     std::to_string(id->as_number()));
-        } else {
-            ++finishes;
-            const auto it = open_starts.find(id->as_number());
-            if (it == open_starts.end()) {
-                fail("trace file '" + path + "' flow finish id " +
-                     std::to_string(id->as_number()) +
-                     " has no matching start");
-            } else {
-                if (e.number_or("ts", 0.0) < it->second)
-                    fail("trace file '" + path + "' flow id " +
-                         std::to_string(id->as_number()) +
-                         " finishes before it starts");
-                open_starts.erase(it);
-            }
-        }
-    }
-    if (!open_starts.empty())
-        fail("trace file '" + path + "' has " +
-             std::to_string(open_starts.size()) +
-             " flow start(s) with no finish");
-    if ((starts != 0 || finishes != 0) && rank_tracks.empty())
-        fail("trace file '" + path +
-             "' carries flow events but no rank-track metadata");
-}
-
 void check_trace(const std::string& path,
                  const std::vector<std::string>& required_spans) {
     std::ifstream is(path, std::ios::binary);
@@ -144,225 +56,14 @@ void check_trace(const std::string& path,
     }
     std::ostringstream buf;
     buf << is.rdbuf();
-    const std::string doc = buf.str();
-    if (!obs::json::valid(doc)) {
+    const auto root = obs::json::parse(buf.str());
+    if (!root) {
         fail("trace file '" + path + "' is not valid JSON");
         return;
     }
-    if (!has_key(doc, "traceEvents")) {
-        fail("trace file '" + path + "' has no traceEvents array");
-        return;
-    }
-    for (const char* key : {"name", "ph", "ts", "dur", "pid", "tid"})
-        if (!has_key(doc, key))
-            fail("trace file '" + path + "' events are missing the '" +
-                 std::string(key) + "' field");
-    for (const std::string& span : required_spans)
-        if (!has_pair(doc, "name", span))
-            fail("trace file '" + path + "' has no '" + span + "' span");
-    if (const auto root = obs::json::parse(doc); root && root->is_object())
-        check_trace_flows(path, *root);
-}
-
-// Schema check for one {"type":"numerics"} record (obs/numerics.hpp):
-// every field the analyzer consumes must be present with the right type,
-// and the histogram must be an array of non-negative integers.
-void check_numerics_record(const std::string& line, std::size_t lineno) {
-    const auto rec = obs::json::parse(line);
-    if (!rec || !rec->is_object()) {
-        fail("numerics record on line " + std::to_string(lineno) +
-             " does not parse");
-        return;
-    }
-    for (const char* key : {"kernel", "array"})
-        if (const obs::json::Value* v = rec->find(key);
-            v == nullptr || !v->is_string() || v->as_string().empty())
-            fail("numerics record on line " + std::to_string(lineno) +
-                 " is missing string '" + std::string(key) + "'");
-    // max_rel/mean_rel may legitimately be null (infinite divergence on a
-    // zero-reference sample); everything else must be a finite number.
-    for (const char* key :
-         {"samples", "exact", "max_ulp", "mean_ulp", "sum_abs_err",
-          "max_abs_ref", "rel_hist_lo_exp", "sample_stride"})
-        if (const obs::json::Value* v = rec->find(key);
-            v == nullptr || !v->is_number())
-            fail("numerics record on line " + std::to_string(lineno) +
-                 " is missing numeric '" + std::string(key) + "'");
-    for (const char* key : {"max_rel", "mean_rel"})
-        if (const obs::json::Value* v = rec->find(key);
-            v == nullptr || (!v->is_number() && !v->is_null()))
-            fail("numerics record on line " + std::to_string(lineno) +
-                 " field '" + std::string(key) + "' is not number|null");
-    const obs::json::Value* hist = rec->find("rel_hist");
-    if (hist == nullptr || !hist->is_array() || hist->items().empty()) {
-        fail("numerics record on line " + std::to_string(lineno) +
-             " has no rel_hist array");
-        return;
-    }
-    double hist_total = 0.0;
-    for (const obs::json::Value& bucket : hist->items()) {
-        if (!bucket.is_number() || bucket.as_number() < 0.0) {
-            fail("numerics record on line " + std::to_string(lineno) +
-                 " rel_hist holds a non-count entry");
-            return;
-        }
-        hist_total += bucket.as_number();
-    }
-    if (hist_total != rec->number_or("samples", -1.0))
-        fail("numerics record on line " + std::to_string(lineno) +
-             " rel_hist does not sum to samples");
-    if (rec->number_or("exact", 0.0) > rec->number_or("samples", 0.0))
-        fail("numerics record on line " + std::to_string(lineno) +
-             " has exact > samples");
-}
-
-// Schema check for one {"type":"governor"} record (fp/governor.hpp): a
-// runtime precision transition. Every field the timeline analyzer
-// consumes must be present with the right type, the action must be one
-// of the two transitions, and from/to must name the two lattices.
-void check_governor_record(const std::string& line, std::size_t lineno) {
-    const auto rec = obs::json::parse(line);
-    if (!rec || !rec->is_object()) {
-        fail("governor record on line " + std::to_string(lineno) +
-             " does not parse");
-        return;
-    }
-    const obs::json::Value* kernel = rec->find("kernel");
-    if (kernel == nullptr || !kernel->is_string() ||
-        kernel->as_string().empty())
-        fail("governor record on line " + std::to_string(lineno) +
-             " is missing string 'kernel'");
-    const obs::json::Value* action = rec->find("action");
-    if (action == nullptr || !action->is_string() ||
-        (action->as_string() != "promote" &&
-         action->as_string() != "demote"))
-        fail("governor record on line " + std::to_string(lineno) +
-             " action is not promote|demote");
-    for (const char* key : {"from", "to"})
-        if (const obs::json::Value* v = rec->find(key);
-            v == nullptr || !v->is_string() ||
-            (v->as_string() != "float" && v->as_string() != "double"))
-            fail("governor record on line " + std::to_string(lineno) +
-                 " field '" + std::string(key) + "' is not float|double");
-    for (const char* key : {"step", "max_ulp", "tail_frac", "samples",
-                            "clean_steps", "drift_budget_ulp",
-                            "tail_budget_frac"})
-        if (const obs::json::Value* v = rec->find(key);
-            v == nullptr || !v->is_number())
-            fail("governor record on line " + std::to_string(lineno) +
-                 " is missing numeric '" + std::string(key) + "'");
-}
-
-// Schema check for one {"type":"checkpoint"} record (io/checkpoint.hpp):
-// a checkpoint write, synchronous or async. The cost benches consume the
-// byte counts and the overlap analysis consumes the timings, so every
-// field must be present with the right type; version must be one of the
-// two formats and every per-array rate must sit in the compressor's
-// legal range.
-void check_checkpoint_record(const std::string& line, std::size_t lineno) {
-    const auto rec = obs::json::parse(line);
-    if (!rec || !rec->is_object()) {
-        fail("checkpoint record on line " + std::to_string(lineno) +
-             " does not parse");
-        return;
-    }
-    if (const obs::json::Value* v = rec->find("path");
-        v == nullptr || !v->is_string() || v->as_string().empty())
-        fail("checkpoint record on line " + std::to_string(lineno) +
-             " is missing string 'path'");
-    for (const char* key : {"step", "version", "raw_bytes",
-                            "written_bytes", "ratio", "snapshot_s",
-                            "write_s", "stall_s"})
-        if (const obs::json::Value* v = rec->find(key);
-            v == nullptr || !v->is_number())
-            fail("checkpoint record on line " + std::to_string(lineno) +
-                 " is missing numeric '" + std::string(key) + "'");
-    const double version = rec->number_or("version", 0.0);
-    if (version != 1.0 && version != 2.0)
-        fail("checkpoint record on line " + std::to_string(lineno) +
-             " version is not 1|2");
-    const obs::json::Value* bits = rec->find("bits");
-    if (bits == nullptr || !bits->is_array()) {
-        fail("checkpoint record on line " + std::to_string(lineno) +
-             " has no bits array");
-    } else {
-        // v1 carries an empty array; v2 one in-range rate per array.
-        if (version == 2.0 && bits->items().empty())
-            fail("checkpoint record on line " + std::to_string(lineno) +
-                 " is v2 but carries no per-array rates");
-        for (const obs::json::Value& b : bits->items())
-            if (!b.is_number() || b.as_number() < 2.0 ||
-                b.as_number() > 32.0)
-                fail("checkpoint record on line " +
-                     std::to_string(lineno) +
-                     " bits entry outside [2,32]");
-    }
-    if (const obs::json::Value* v = rec->find("async");
-        v == nullptr || !v->is_bool())
-        fail("checkpoint record on line " + std::to_string(lineno) +
-             " field 'async' is not a bool");
-}
-
-// Schema check for one {"type":"dist"} record (examples/dam_break_dist):
-// the per-rank phase split of one distributed step. The critical-path
-// analyzer (obs/report.hpp) indexes every array by rank, so each must be
-// exactly `ranks` long and hold non-negative numbers.
-void check_dist_record(const std::string& line, std::size_t lineno) {
-    const auto rec = obs::json::parse(line);
-    if (!rec || !rec->is_object()) {
-        fail("dist record on line " + std::to_string(lineno) +
-             " does not parse");
-        return;
-    }
-    for (const char* key : {"step", "ranks", "wall_s", "resplits"})
-        if (const obs::json::Value* v = rec->find(key);
-            v == nullptr || !v->is_number())
-            fail("dist record on line " + std::to_string(lineno) +
-                 " is missing numeric '" + std::string(key) + "'");
-    const double ranks = rec->number_or("ranks", 0.0);
-    if (ranks < 1.0)
-        fail("dist record on line " + std::to_string(lineno) +
-             " has ranks < 1");
-    for (const char* key : {"post_s", "precompute_s", "interior_s",
-                            "wait_s", "boundary_s", "halo_bytes"}) {
-        const obs::json::Value* arr = rec->find(key);
-        if (arr == nullptr || !arr->is_array()) {
-            fail("dist record on line " + std::to_string(lineno) +
-                 " has no '" + std::string(key) + "' array");
-            continue;
-        }
-        if (static_cast<double>(arr->items().size()) != ranks)
-            fail("dist record on line " + std::to_string(lineno) + " '" +
-                 std::string(key) + "' length does not match ranks");
-        for (const obs::json::Value& v : arr->items())
-            if (!v.is_number() || v.as_number() < 0.0) {
-                fail("dist record on line " + std::to_string(lineno) +
-                     " '" + std::string(key) +
-                     "' holds a negative or non-numeric entry");
-                break;
-            }
-    }
-    if (rec->number_or("resplits", 0.0) < 0.0)
-        fail("dist record on line " + std::to_string(lineno) +
-             " has negative resplits");
-}
-
-// Schema check for the {"type":"trace"} record finish_observability()
-// writes when a trace session was active: the event count the trace file
-// holds and how many instrumentation points the buffer cap dropped.
-void check_trace_record(const std::string& line, std::size_t lineno) {
-    const auto rec = obs::json::parse(line);
-    if (!rec || !rec->is_object()) {
-        fail("trace record on line " + std::to_string(lineno) +
-             " does not parse");
-        return;
-    }
-    for (const char* key : {"events", "dropped"})
-        if (const obs::json::Value* v = rec->find(key);
-            v == nullptr || !v->is_number() || v->as_number() < 0.0)
-            fail("trace record on line " + std::to_string(lineno) +
-                 " is missing non-negative numeric '" + std::string(key) +
-                 "'");
+    for (const std::string& p :
+         obs::report::check_trace(*root, required_spans))
+        fail("trace file '" + path + "' " + p);
 }
 
 void check_metrics(const std::string& path,
@@ -370,117 +71,34 @@ void check_metrics(const std::string& path,
                    const std::vector<std::string>& required_numerics,
                    const std::vector<std::string>& required_governor,
                    bool require_checkpoint, bool require_dist) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    std::vector<std::string> problems;
+    const auto run =
+        obs::report::load_metrics_file(path, nullptr, &problems);
+    if (!run) {
         fail("metrics file '" + path + "' cannot be opened");
         return;
     }
-    // The record vocabulary this build understands. A stream carrying any
-    // other "type" fails the check: either the producer is newer than the
-    // checker (update CI together) or the stream is corrupt — both need a
-    // human, not a silent pass.
-    static constexpr const char* kKnownTypes[] = {
-        "manifest", "step",  "diagnostic", "probe", "numerics",
-        "governor", "table", "checkpoint", "dist",  "trace"};
-    std::string line;
-    std::size_t lineno = 0;
-    std::size_t steps = 0;
-    std::size_t checkpoints = 0;
-    std::size_t dist_records = 0;
-    bool saw_manifest = false;
-    std::string all_steps;
-    std::string numerics_kernels;
-    std::string governor_kernels;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty()) {
-            fail("metrics file '" + path + "' line " +
-                 std::to_string(lineno) + " is empty");
-            continue;
-        }
-        if (!obs::json::valid(line)) {
-            fail("metrics file '" + path + "' line " +
-                 std::to_string(lineno) + " is not valid JSON");
-            continue;
-        }
-        if (lineno == 1) {
-            if (!has_pair(line, "type", "manifest")) {
-                fail("metrics file '" + path +
-                     "' does not start with a manifest record");
-            } else {
-                saw_manifest = true;
-                for (const char* key :
-                     {"program", "git_sha", "compiler", "build", "host",
-                      "start_time", "threads"})
-                    if (!has_key(line, key))
-                        fail("manifest record is missing '" +
-                             std::string(key) + "'");
-            }
-            continue;
-        }
-        bool known = false;
-        for (const char* type : kKnownTypes)
-            if (has_pair(line, "type", type)) {
-                known = true;
-                break;
-            }
-        if (!known) {
-            fail("metrics file '" + path + "' line " +
-                 std::to_string(lineno) +
-                 " has an unknown record type (known: manifest, step, "
-                 "diagnostic, probe, numerics, governor, table, "
-                 "checkpoint, dist, trace)");
-            continue;
-        }
-        if (has_pair(line, "type", "step")) {
-            ++steps;
-            all_steps += line;
-            if (!has_key(line, "dt") || !has_key(line, "t"))
-                fail("step record on line " + std::to_string(lineno) +
-                     " is missing dt/t");
-            if (line.find("\"dt\":null") != std::string::npos)
-                fail("step record on line " + std::to_string(lineno) +
-                     " has a non-finite dt");
-        }
-        if (has_pair(line, "type", "numerics")) {
-            check_numerics_record(line, lineno);
-            numerics_kernels += line;
-        }
-        if (has_pair(line, "type", "governor")) {
-            check_governor_record(line, lineno);
-            governor_kernels += line;
-        }
-        if (has_pair(line, "type", "checkpoint")) {
-            check_checkpoint_record(line, lineno);
-            ++checkpoints;
-        }
-        if (has_pair(line, "type", "dist")) {
-            check_dist_record(line, lineno);
-            ++dist_records;
-        }
-        if (has_pair(line, "type", "trace"))
-            check_trace_record(line, lineno);
-    }
-    if (!saw_manifest) fail("metrics file '" + path + "' has no manifest");
-    if (steps == 0)
-        fail("metrics file '" + path + "' has no step records");
+    for (const std::string& p : problems)
+        fail("metrics file '" + path + "' " + p);
     for (const std::string& phase : required_phases)
-        if (all_steps.find("\"" + phase + "\":") == std::string::npos)
-            fail("no step record carries a '" + phase +
-                 "' phase timing");
+        if (run->phase_seconds.count(phase) == 0)
+            fail("no step record carries a '" + phase + "' phase timing");
+    // Numerics entries are keyed "kernel/array".
     for (const std::string& kernel : required_numerics)
-        if (numerics_kernels.find("\"kernel\":\"" + kernel + "\"") ==
-            std::string::npos)
+        if (const auto it = run->numerics.lower_bound(kernel + "/");
+            it == run->numerics.end() ||
+            !it->first.starts_with(kernel + "/"))
             fail("no numerics record for kernel '" + kernel + "'");
     for (const std::string& kernel : required_governor)
-        if (governor_kernels.find("\"kernel\":\"" + kernel + "\"") ==
-            std::string::npos)
+        if (std::none_of(run->governor_events.begin(),
+                         run->governor_events.end(),
+                         [&](const auto& e) { return e.kernel == kernel; }))
             fail("no governor transition record for kernel '" + kernel +
                  "'");
-    if (require_checkpoint && checkpoints == 0)
+    if (require_checkpoint && run->checkpoints == 0)
         fail("metrics file '" + path +
              "' has no {\"type\":\"checkpoint\"} record");
-    if (require_dist && dist_records == 0)
+    if (require_dist && run->dist_steps.empty())
         fail("metrics file '" + path +
              "' has no {\"type\":\"dist\"} record");
 }

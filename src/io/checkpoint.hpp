@@ -171,6 +171,20 @@ T read_pod(std::istream& is) {
 }
 }  // namespace detail
 
+/// Read one v1 array record: `count` raw storage-precision values of
+/// `elem` bytes each (2, 4 or 8), widened to double by widen_storage.
+/// Callers bound `count` by the header checks first.
+[[nodiscard]] inline std::vector<double> read_raw_array(
+    std::istream& is, std::uint64_t count, std::uint32_t elem) {
+    std::vector<std::uint8_t> raw(count * elem);
+    is.read(reinterpret_cast<char*>(raw.data()),
+            static_cast<std::streamsize>(raw.size()));
+    if (!is) throw std::runtime_error("checkpoint: truncated arrays");
+    std::vector<double> out;
+    widen_storage(raw, elem, out);
+    return out;
+}
+
 /// Serialize one v2 array record: [u32 rate][u64 payload bytes][payload].
 /// Returns the bytes emitted (12 + payload).
 inline std::uint64_t write_compressed_array(std::ostream& os,

@@ -6,8 +6,9 @@
 // verify them without external dependencies. This header provides both
 // halves: an append-only object/array builder that can only produce valid
 // JSON (non-finite doubles become null rather than the illegal bare NaN),
-// and a strict recursive-descent validator used by tests and by
-// examples/obs_check.cpp.
+// and one strict recursive-descent parser into a small DOM. valid() is
+// "parse() succeeds", so a document is valid exactly when the offline
+// readers (obs/report.hpp, examples/obs_check.cpp) can read it.
 
 #include <cctype>
 #include <cmath>
@@ -167,150 +168,6 @@ private:
     bool first_ = true;
 };
 
-// ---------------------------------------------------------------- validator
-
-namespace detail {
-
-class Parser {
-public:
-    explicit Parser(std::string_view text) : s_(text) {}
-
-    [[nodiscard]] bool parse_document() {
-        skip_ws();
-        if (!parse_value()) return false;
-        skip_ws();
-        return pos_ == s_.size();
-    }
-
-private:
-    [[nodiscard]] bool parse_value() {
-        if (depth_ > 256) return false;  // runaway nesting
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        switch (s_[pos_]) {
-        case '{': return parse_object();
-        case '[': return parse_array();
-        case '"': return parse_string();
-        case 't': return literal("true");
-        case 'f': return literal("false");
-        case 'n': return literal("null");
-        default: return parse_number();
-        }
-    }
-
-    [[nodiscard]] bool parse_object() {
-        ++depth_;
-        ++pos_;  // '{'
-        skip_ws();
-        if (peek() == '}') { ++pos_; --depth_; return true; }
-        while (true) {
-            skip_ws();
-            if (peek() != '"' || !parse_string()) return false;
-            skip_ws();
-            if (peek() != ':') return false;
-            ++pos_;
-            if (!parse_value()) return false;
-            skip_ws();
-            if (peek() == ',') { ++pos_; continue; }
-            if (peek() == '}') { ++pos_; --depth_; return true; }
-            return false;
-        }
-    }
-
-    [[nodiscard]] bool parse_array() {
-        ++depth_;
-        ++pos_;  // '['
-        skip_ws();
-        if (peek() == ']') { ++pos_; --depth_; return true; }
-        while (true) {
-            if (!parse_value()) return false;
-            skip_ws();
-            if (peek() == ',') { ++pos_; continue; }
-            if (peek() == ']') { ++pos_; --depth_; return true; }
-            return false;
-        }
-    }
-
-    [[nodiscard]] bool parse_string() {
-        ++pos_;  // '"'
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_];
-            if (static_cast<unsigned char>(c) < 0x20) return false;
-            if (c == '"') { ++pos_; return true; }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size()) return false;
-                const char e = s_[pos_];
-                if (e == 'u') {
-                    if (pos_ + 4 >= s_.size()) return false;
-                    for (int k = 1; k <= 4; ++k)
-                        if (!std::isxdigit(static_cast<unsigned char>(
-                                s_[pos_ + static_cast<std::size_t>(k)])))
-                            return false;
-                    pos_ += 4;
-                } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                           e != 'f' && e != 'n' && e != 'r' && e != 't') {
-                    return false;
-                }
-            }
-            ++pos_;
-        }
-        return false;
-    }
-
-    [[nodiscard]] bool parse_number() {
-        const std::size_t start = pos_;
-        if (peek() == '-') ++pos_;
-        if (!digit()) return false;
-        if (s_[pos_] == '0') ++pos_;
-        else while (digit()) ++pos_;
-        if (peek() == '.') {
-            ++pos_;
-            if (!digit()) return false;
-            while (digit()) ++pos_;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-') ++pos_;
-            if (!digit()) return false;
-            while (digit()) ++pos_;
-        }
-        return pos_ > start;
-    }
-
-    [[nodiscard]] bool literal(std::string_view word) {
-        if (s_.substr(pos_, word.size()) != word) return false;
-        pos_ += word.size();
-        return true;
-    }
-
-    [[nodiscard]] bool digit() const {
-        return pos_ < s_.size() &&
-               std::isdigit(static_cast<unsigned char>(s_[pos_]));
-    }
-    [[nodiscard]] char peek() const {
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-    void skip_ws() {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    std::string_view s_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
-};
-
-}  // namespace detail
-
-/// Strict whole-document validity check (single JSON value, no trailing
-/// garbage). Used by tests and the CI output checker.
-[[nodiscard]] inline bool valid(std::string_view text) {
-    return detail::Parser(text).parse_document();
-}
-
 // --------------------------------------------------------------- DOM parser
 //
 // A small owning JSON value for the offline consumers (tools/tp_report,
@@ -372,7 +229,6 @@ public:
     }
 
 private:
-    friend class detail_parser_access;
     Type type_ = Type::Null;
     bool bool_ = false;
     double num_ = 0.0;
@@ -400,9 +256,10 @@ public:
 
 namespace detail {
 
-/// Recursive-descent DOM parser, same grammar as the validator plus
-/// escape decoding (\uXXXX including surrogate pairs re-encodes to
-/// UTF-8). Returns nullopt on any syntax error.
+/// Strict recursive-descent parser (RFC 8259 grammar, nesting capped at
+/// 256) with escape decoding: \uXXXX, including surrogate pairs,
+/// re-encodes to UTF-8, and an unpaired surrogate is a syntax error.
+/// Returns nullopt on any syntax error.
 class DomParser {
 public:
     explicit DomParser(std::string_view text) : s_(text) {}
@@ -645,10 +502,16 @@ private:
 
 }  // namespace detail
 
-/// Parse one whole JSON document into a Value; nullopt on any syntax
-/// error (same strictness as valid()).
+/// Parse one whole JSON document (a single value, no trailing garbage)
+/// into a Value; nullopt on any syntax error.
 [[nodiscard]] inline std::optional<Value> parse(std::string_view text) {
     return detail::DomParser(text).parse_document();
+}
+
+/// Strict whole-document validity check: exactly the documents parse()
+/// accepts.
+[[nodiscard]] inline bool valid(std::string_view text) {
+    return parse(text).has_value();
 }
 
 }  // namespace tp::obs::json

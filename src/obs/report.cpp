@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <set>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -145,7 +146,336 @@ void digest_checkpoint(const json::Value& rec, RunSummary& out) {
         rec.number_or("stall_s", out.checkpoint_stall_s);
 }
 
+// ---------------------------------------------------------------- schema
+
+using Problems = std::vector<std::string>;
+
+const char* kind_name(Kind k) {
+    switch (k) {
+    case Kind::String: return "a string";
+    case Kind::Name: return "a non-empty string";
+    case Kind::Number: return "a number";
+    case Kind::Real: return "a number or null";
+    case Kind::Bool: return "a bool";
+    case Kind::Array: return "an array";
+    case Kind::Object: return "an object";
+    }
+    return "?";
+}
+
+bool has_kind(const json::Value& v, Kind k) {
+    switch (k) {
+    case Kind::String: return v.is_string();
+    case Kind::Name: return v.is_string() && !v.as_string().empty();
+    case Kind::Number: return v.is_number();
+    case Kind::Real: return v.is_number() || v.is_null();
+    case Kind::Bool: return v.is_bool();
+    case Kind::Array: return v.is_array();
+    case Kind::Object: return v.is_object();
+    }
+    return false;
+}
+
+/// Check `obj`'s members against `fields`, one problem per missing
+/// required field or field of the wrong kind; true when there are none.
+bool check_fields(const json::Value& obj, const std::vector<Field>& fields,
+                  const std::string& what, Problems& out) {
+    const std::size_t before = out.size();
+    for (const Field& f : fields) {
+        const json::Value* v = obj.find(f.name);
+        if (v == nullptr && f.required)
+            out.push_back(what + " is missing " + kind_name(f.kind) + " '" +
+                          f.name + "'");
+        else if (v != nullptr && !has_kind(*v, f.kind))
+            out.push_back(what + " field '" + f.name + "' is not " +
+                          kind_name(f.kind));
+    }
+    return out.size() == before;
+}
+
+bool all_counts(const json::Value& arr) {
+    return std::all_of(arr.items().begin(), arr.items().end(),
+                       [](const json::Value& v) {
+                           return v.is_number() && v.as_number() >= 0.0;
+                       });
+}
+
+void no_negative_numbers(const json::Value& rec, const std::string& what,
+                         Problems& out) {
+    for (const auto& [key, value] : rec.members())
+        if (value.is_number() && value.as_number() < 0.0)
+            out.push_back(what + " field '" + key + "' is negative");
+}
+
+// The histogram buckets every sampled value once.
+void numerics_rules(const json::Value& rec, Problems& out) {
+    const json::Value& hist = *rec.find("rel_hist");
+    double total = 0.0;
+    for (const json::Value& bucket : hist.items())
+        total += bucket.is_number() ? bucket.as_number() : 0.0;
+    const double samples = rec.number_or("samples", 0.0);
+    if (hist.items().empty() || !all_counts(hist) || total != samples)
+        out.push_back(
+            "numerics record rel_hist is not a list of counts summing to "
+            "samples");
+    if (rec.number_or("exact", 0.0) > samples)
+        out.push_back("numerics record has exact > samples");
+}
+
+void governor_rules(const json::Value& rec, Problems& out) {
+    const std::string action = rec.string_or("action", "");
+    if (action != "promote" && action != "demote")
+        out.push_back("governor record action is not promote|demote");
+    for (const char* key : {"from", "to"})
+        if (const std::string lattice = rec.string_or(key, "");
+            lattice != "float" && lattice != "double")
+            out.push_back(std::string("governor record field '") + key +
+                          "' is not float|double");
+}
+
+// v1 carries an empty bits array, v2 one compressor rate per array.
+void checkpoint_rules(const json::Value& rec, Problems& out) {
+    const double version = rec.number_or("version", 0.0);
+    const auto& bits = rec.find("bits")->items();
+    if (version != 1.0 && version != 2.0)
+        out.push_back("checkpoint record version is not 1|2");
+    if (version == 2.0 && bits.empty())
+        out.push_back(
+            "checkpoint record is v2 but carries no per-array rates");
+    if (!std::all_of(bits.begin(), bits.end(), [](const json::Value& b) {
+            return b.is_number() && b.as_number() >= 2.0 &&
+                   b.as_number() <= 32.0;
+        }))
+        out.push_back("checkpoint record has a bits entry outside [2,32]");
+}
+
+// critical_path() indexes every array by rank.
+void dist_rules(const json::Value& rec, Problems& out) {
+    const double ranks = rec.number_or("ranks", 0.0);
+    if (ranks < 1.0) out.push_back("dist record has ranks < 1");
+    no_negative_numbers(rec, "dist record", out);
+    for (const auto& [key, value] : rec.members())
+        if (value.is_array() &&
+            (static_cast<double>(value.items().size()) != ranks ||
+             !all_counts(value)))
+            out.push_back("dist record field '" + key +
+                          "' does not hold one non-negative number per rank");
+}
+
+// Flow-event (halo arrow) rules: every ph:"s" start carries a unique id
+// and is closed by exactly one ph:"f" finish with the same id at a
+// timestamp no earlier than the start, and every rank-track event (pid 2,
+// including the flow endpoints' src/dst args) references a rank that the
+// thread_name metadata declared. A trace that breaks one renders as
+// dangling or misrouted arrows in Perfetto.
+void check_flows(const json::Value& events, Problems& out) {
+    std::set<double> rank_tracks;  // tids named by thread_name metadata
+    for (const json::Value& e : events.items())
+        if (e.string_or("ph", "") == "M" &&
+            e.string_or("name", "") == "thread_name" &&
+            e.number_or("pid", -1.0) == 2.0) {
+            const double tid = e.number_or("tid", -1.0);
+            if (tid < 0.0)
+                out.push_back("declares a negative rank track id");
+            else
+                rank_tracks.insert(tid);
+        }
+    std::map<double, double> open_starts;  // flow id -> start ts
+    bool flows = false;
+    for (const json::Value& e : events.items()) {
+        const std::string ph = e.string_or("ph", "");
+        if (e.number_or("pid", -1.0) == 2.0 && ph != "M" &&
+            rank_tracks.count(e.number_or("tid", -1.0)) == 0)
+            out.push_back("event '" + e.string_or("name", "?") +
+                          "' sits on an undeclared rank track");
+        if (ph != "s" && ph != "f") continue;
+        flows = true;
+        const json::Value* id = e.find("id");
+        if (id == nullptr || !id->is_number()) {
+            out.push_back("flow event has no numeric id");
+            continue;
+        }
+        const std::string flow = "flow id " + std::to_string(id->as_number());
+        const json::Value* args = e.find("args");
+        for (const char* endpoint : {"src", "dst"})
+            if (args == nullptr ||
+                rank_tracks.count(args->number_or(endpoint, -1.0)) == 0)
+                out.push_back(flow + " names an out-of-range rank in args." +
+                              endpoint);
+        const double ts = e.number_or("ts", 0.0);
+        if (ph == "s") {
+            if (!open_starts.emplace(id->as_number(), ts).second)
+                out.push_back("reuses " + flow);
+        } else if (const auto it = open_starts.find(id->as_number());
+                   it == open_starts.end()) {
+            out.push_back(flow + " finish has no matching start");
+        } else {
+            if (ts < it->second)
+                out.push_back(flow + " finishes before it starts");
+            open_starts.erase(it);
+        }
+    }
+    if (!open_starts.empty())
+        out.push_back("has " + std::to_string(open_starts.size()) +
+                      " flow start(s) with no finish");
+    if (flows && rank_tracks.empty())
+        out.push_back("carries flow events but no rank-track metadata");
+}
+
 }  // namespace
+
+const std::vector<RecordType>& record_types() {
+    using K = Kind;
+    // A field is required when every emitter writes it and every
+    // committed baseline (tools/baselines/) carries it. `dt` is a Number,
+    // not Real: a non-finite step size (written as null) fails the check.
+    static const std::vector<RecordType> table = {
+        {"manifest",  // obs::write_manifest, plus per-program strings
+         {{"program", K::Name, true}, {"git_sha", K::String, true},
+          {"compiler", K::String, true}, {"build", K::String, true},
+          {"host", K::String, true}, {"os", K::String, true},
+          {"machine", K::String, true}, {"start_time", K::String, true},
+          {"threads", K::Number, true}, {"openmp", K::Bool, true}},
+         nullptr, digest_manifest},
+        {"step",  // examples/{dam_break,thermal_bubble,dam_break_dist}
+         {{"step", K::Number, true}, {"t", K::Number, true},
+          {"dt", K::Number, true}, {"wall_s", K::Number, true},
+          {"flops", K::Number, true}, {"phase_seconds", K::Object, true},
+          {"mass", K::Real, false}, {"cells", K::Number, false},
+          {"rezones", K::Number, false},
+          {"rezone_cells_touched", K::Number, false},
+          {"rezone_translated", K::Number, false},
+          {"rezone_resolved", K::Number, false},
+          {"halo_bytes_sent", K::Number, false},
+          {"lb_resplits", K::Number, false}, {"nodes", K::Number, false},
+          {"mass_perturbation", K::Real, false}},
+         nullptr, digest_step},
+        {"diagnostic",  // obs::raise_numerical_fault
+         {{"severity", K::Name, true}, {"kernel", K::Name, true},
+          {"step", K::Number, true}, {"detail", K::String, true}},
+         nullptr, [](const json::Value&, RunSummary& out) {
+             ++out.diagnostics;
+         }},
+        {"probe",  // obs::probe_flush_to_metrics; all-NaN: min/max null
+         {{"kernel", K::Name, true}, {"samples", K::Number, true},
+          {"nan_count", K::Number, true}, {"inf_count", K::Number, true},
+          {"min", K::Real, true}, {"max", K::Real, true},
+          {"max_ulp_drift", K::Number, true},
+          {"first_bad_index", K::Number, true},
+          {"healthy", K::Bool, true}},
+         nullptr, [](const json::Value&, RunSummary& out) { ++out.probes; }},
+        {"numerics",  // obs::numerics_record_json; max/mean_rel null if inf
+         {{"kernel", K::Name, true}, {"array", K::Name, true},
+          {"samples", K::Number, true}, {"exact", K::Number, true},
+          {"max_ulp", K::Number, true}, {"mean_ulp", K::Number, true},
+          {"max_rel", K::Real, true}, {"mean_rel", K::Real, true},
+          {"sum_abs_err", K::Number, true}, {"max_abs_ref", K::Number, true},
+          {"rel_hist", K::Array, true}, {"rel_hist_lo_exp", K::Number, true},
+          {"sample_stride", K::Number, true}},
+         numerics_rules, digest_numerics},
+        {"governor",  // fp::PrecisionGovernor::decision_record_json
+         {{"step", K::Number, true}, {"kernel", K::Name, true},
+          {"action", K::String, true}, {"from", K::String, true},
+          {"to", K::String, true}, {"max_ulp", K::Number, true},
+          {"tail_frac", K::Number, true}, {"samples", K::Number, true},
+          {"clean_steps", K::Number, true},
+          {"drift_budget_ulp", K::Number, true},
+          {"tail_budget_frac", K::Number, true}},
+         governor_rules, digest_governor},
+        {"table",  // util::TextTable::json_str (TP_TABLE_JSON)
+         {{"title", K::String, true}, {"header", K::Array, true},
+          {"rows", K::Array, true}},
+         nullptr, nullptr},
+        {"checkpoint",  // io::checkpoint_record
+         {{"path", K::Name, true}, {"step", K::Number, true},
+          {"version", K::Number, true}, {"raw_bytes", K::Number, true},
+          {"written_bytes", K::Number, true}, {"ratio", K::Number, true},
+          {"bits", K::Array, true}, {"snapshot_s", K::Number, true},
+          {"write_s", K::Number, true}, {"stall_s", K::Number, true},
+          {"async", K::Bool, true}},
+         checkpoint_rules, digest_checkpoint},
+        {"dist",  // examples/dam_break_dist, one per step
+         {{"step", K::Number, true}, {"ranks", K::Number, true},
+          {"wall_s", K::Number, true}, {"post_s", K::Array, true},
+          {"precompute_s", K::Array, true}, {"interior_s", K::Array, true},
+          {"wait_s", K::Array, true}, {"boundary_s", K::Array, true},
+          {"halo_bytes", K::Array, true}, {"resplits", K::Number, true}},
+         dist_rules, digest_dist},
+        {"trace",  // obs::finish_observability after a traced run
+         {{"events", K::Number, true}, {"dropped", K::Number, true}},
+         [](const json::Value& rec, Problems& out) {
+             no_negative_numbers(rec, "trace record", out);
+         },
+         digest_trace},
+    };
+    return table;
+}
+
+namespace {
+
+const RecordType* find_type(const std::string& type) {
+    for (const RecordType& rt : record_types())
+        if (type == rt.type) return &rt;
+    return nullptr;
+}
+
+}  // namespace
+
+std::vector<std::string> check_record(const json::Value& rec) {
+    Problems out;
+    const json::Value* type = rec.find("type");
+    if (type == nullptr || !type->is_string()) {
+        out.push_back("record is not an object with a string 'type'");
+        return out;
+    }
+    const RecordType* rt = find_type(type->as_string());
+    if (rt == nullptr) {
+        std::string known;
+        for (const RecordType& r : record_types())
+            known += (known.empty() ? "" : ", ") + std::string(r.type);
+        out.push_back("unknown record type '" + type->as_string() +
+                      "' (known: " + known + ")");
+        return out;
+    }
+    const std::string what = std::string(rt->type) + " record";
+    if (check_fields(rec, rt->fields, what, out) && rt->rules != nullptr)
+        rt->rules(rec, out);
+    return out;
+}
+
+std::vector<std::string> check_trace(
+    const json::Value& root, const std::vector<std::string>& required_spans) {
+    Problems out;
+    const json::Value* events = root.find("traceEvents");
+    if (events == nullptr || !events->is_array()) {
+        out.push_back("has no traceEvents array");
+        return out;
+    }
+    // Spans ("X" complete events) are what the viewer draws; metadata and
+    // flow events carry no duration. Each problem is reported once.
+    static const std::vector<Field> kSpanFields = {
+        {"name", Kind::Name, true}, {"ts", Kind::Number, true},
+        {"dur", Kind::Number, true}, {"pid", Kind::Number, true},
+        {"tid", Kind::Number, true}};
+    std::set<std::string> names;
+    std::set<std::string> span_problems;
+    std::size_t spans = 0;
+    for (const json::Value& e : events->items()) {
+        names.insert(e.string_or("name", ""));
+        if (e.string_or("ph", "") != "X") continue;
+        ++spans;
+        Problems p;
+        check_fields(e, kSpanFields, "span event", p);
+        span_problems.insert(p.begin(), p.end());
+    }
+    out.insert(out.end(), span_problems.begin(), span_problems.end());
+    if (spans == 0) out.push_back("has no span events");
+    for (const std::string& span : required_spans)
+        if (names.count(span) == 0)
+            out.push_back("has no '" + span + "' span");
+    check_flows(*events, out);
+    return out;
+}
 
 double RunSummary::rezone_share() const {
     double top_total = 0.0;
@@ -158,49 +488,51 @@ double RunSummary::rezone_share() const {
     return top_total > 0.0 ? rezone / top_total : 0.0;
 }
 
-RunSummary summarize(const std::vector<std::string>& lines) {
+RunSummary summarize(const std::vector<std::string>& lines,
+                     Problems* problems) {
     RunSummary out;
-    for (const std::string& line : lines) {
-        if (line.empty()) continue;
-        const auto rec = json::parse(line);
-        if (!rec || !rec->is_object()) {
-            ++out.invalid_lines;  // crash-truncated tail, or not a record
+    bool manifest_first = false;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const auto report = [&](const std::string& what) {
+            if (problems != nullptr)
+                problems->push_back("line " + std::to_string(i + 1) + ": " +
+                                    what);
+        };
+        if (lines[i].empty()) {
+            report("empty line");
             continue;
         }
+        const auto rec = json::parse(lines[i]);
+        if (!rec) {
+            ++out.invalid_lines;  // crash-truncated tail, or not JSON
+            report("not valid JSON");
+            continue;
+        }
+        if (problems != nullptr)
+            for (const std::string& p : check_record(*rec)) report(p);
         const json::Value* type = rec->find("type");
         if (type == nullptr || !type->is_string()) {
             ++out.invalid_lines;
             continue;
         }
-        const std::string& t = type->as_string();
-        if (t == "manifest")
-            digest_manifest(*rec, out);
-        else if (t == "step")
-            digest_step(*rec, out);
-        else if (t == "numerics")
-            digest_numerics(*rec, out);
-        else if (t == "governor")
-            digest_governor(*rec, out);
-        else if (t == "checkpoint")
-            digest_checkpoint(*rec, out);
-        else if (t == "dist")
-            digest_dist(*rec, out);
-        else if (t == "trace")
-            digest_trace(*rec, out);
-        else if (t == "diagnostic")
-            ++out.diagnostics;
-        else if (t == "probe")
-            ++out.probes;
-        else if (t == "table")
-            ;  // bench table echo; nothing to roll up
-        else
+        if (i == 0) manifest_first = type->as_string() == "manifest";
+        if (const RecordType* rt = find_type(type->as_string());
+            rt == nullptr)
             ++out.unknown_records;
+        else if (rt->digest != nullptr)
+            rt->digest(*rec, out);
+    }
+    if (problems != nullptr) {
+        if (!manifest_first)
+            problems->push_back("does not start with a manifest record");
+        if (out.steps == 0) problems->push_back("has no step records");
     }
     return out;
 }
 
 std::optional<RunSummary> load_metrics_file(const std::string& path,
-                                            std::string* error) {
+                                            std::string* error,
+                                            Problems* problems) {
     std::ifstream is(path);
     if (!is) {
         if (error != nullptr) *error = "cannot open " + path;
@@ -209,7 +541,7 @@ std::optional<RunSummary> load_metrics_file(const std::string& path,
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(is, line)) lines.push_back(line);
-    return summarize(lines);
+    return summarize(lines, problems);
 }
 
 DiffResult diff_runs(const RunSummary& baseline, const RunSummary& candidate,

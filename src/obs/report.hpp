@@ -13,12 +13,21 @@
 // carry record types this build does not know; summarize() counts both
 // instead of failing, because a run-diffing tool that refuses to read a
 // crashed run's stream is useless exactly when it is needed most.
+//
+// Schema: every record type is declared once, in record_types(): its
+// fields (name, JSON kind, required flag), the value rules a field list
+// cannot express, and how summarize() rolls it up. check_record() and
+// check_trace() are the strict side that examples/obs_check gates CI on.
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
+
+namespace tp::obs::json {
+class Value;
+}
 
 namespace tp::obs::report {
 
@@ -130,14 +139,60 @@ struct RunSummary {
     [[nodiscard]] double rezone_share() const;
 };
 
+/// JSON kind of a record field. `Name` is a non-empty string; `Real` is
+/// a number or null (the builder writes a non-finite double as null).
+enum class Kind { String, Name, Number, Real, Bool, Array, Object };
+
+struct Field {
+    const char* name;
+    Kind kind;
+    bool required;
+};
+
+/// One record type of the metrics stream.
+struct RecordType {
+    const char* type;
+    std::vector<Field> fields;
+    /// Value rules beyond the field kinds (may be null). They run only on
+    /// a record whose fields all have their declared kinds, and append one
+    /// problem per broken rule.
+    void (*rules)(const json::Value& rec, std::vector<std::string>& problems);
+    /// Fold the record into a summary (may be null: nothing to roll up).
+    void (*digest)(const json::Value& rec, RunSummary& out);
+};
+
+/// The record types of the metrics stream: manifest, step, diagnostic,
+/// probe, numerics, governor, table, checkpoint, dist, trace.
+[[nodiscard]] const std::vector<RecordType>& record_types();
+
+/// What is wrong with one parsed record: not an object, no or an unknown
+/// "type", a required field missing, a field of the wrong kind, or a
+/// broken value rule. Empty when the record is valid.
+[[nodiscard]] std::vector<std::string> check_record(const json::Value& rec);
+
+/// What is wrong with one parsed Chrome-trace document: no traceEvents
+/// array, no span ("X" event) or a span without name/ts/dur/pid/tid, a
+/// span name from `required_spans` that no event carries, or halo flow
+/// events that do not pair up (unique ids, every start finished once, no
+/// finish before its start, every rank reference a declared rank track).
+[[nodiscard]] std::vector<std::string> check_trace(
+    const json::Value& root, const std::vector<std::string>& required_spans);
+
 /// Digest a metrics stream, one JSONL record per element of `lines`.
 /// Never fails: malformed lines / unknown types are counted, not fatal.
-[[nodiscard]] RunSummary summarize(const std::vector<std::string>& lines);
+/// With `problems`, also checks the stream: every line is a record that
+/// passes check_record(), the first is a manifest, and at least one is a
+/// step; each violation appends one "line N: ..." or stream-level entry.
+[[nodiscard]] RunSummary summarize(
+    const std::vector<std::string>& lines,
+    std::vector<std::string>* problems = nullptr);
 
 /// Read `path` and summarize it. nullopt (with *error set) only when the
-/// file cannot be opened — content problems are tolerated per summarize().
+/// file cannot be opened — content problems are tolerated per summarize()
+/// and listed in `*problems` when given.
 [[nodiscard]] std::optional<RunSummary> load_metrics_file(
-    const std::string& path, std::string* error);
+    const std::string& path, std::string* error,
+    std::vector<std::string>* problems = nullptr);
 
 /// Regression limits for diff_runs. A candidate fails when it exceeds
 /// baseline * (1 + frac) for fractional limits, baseline * factor for

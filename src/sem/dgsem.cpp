@@ -1614,32 +1614,10 @@ SemCheckpointData SpectralEulerSolver<Policy>::read_checkpoint(
             }
         }
     }
-    for (auto& out : d.q) {
-        if (version == kSemCheckpointV1) {
-            out.resize(n);
-            if (elem == 2) {
-                std::vector<std::uint16_t> tmp(n);
-                is.read(reinterpret_cast<char*>(tmp.data()),
-                        static_cast<std::streamsize>(n * 2));
-                for (std::size_t k = 0; k < n; ++k)
-                    out[k] =
-                        static_cast<double>(fp::Half::from_bits(tmp[k]));
-            } else if (elem == 4) {
-                std::vector<float> tmp(n);
-                is.read(reinterpret_cast<char*>(tmp.data()),
-                        static_cast<std::streamsize>(n * 4));
-                for (std::size_t k = 0; k < n; ++k)
-                    out[k] = static_cast<double>(tmp[k]);
-            } else {
-                is.read(reinterpret_cast<char*>(out.data()),
-                        static_cast<std::streamsize>(n * 8));
-            }
-            if (!is)
-                throw std::runtime_error("checkpoint: truncated arrays");
-        } else {
-            out = io::read_compressed_array(is, n);
-        }
-    }
+    for (auto& out : d.q)
+        out = version == kSemCheckpointV1
+                  ? io::read_raw_array(is, n, elem)
+                  : io::read_compressed_array(is, n);
     return d;
 }
 

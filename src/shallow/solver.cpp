@@ -1444,17 +1444,8 @@ constexpr std::uint32_t kCheckpointMagic = 0x54505357;  // "TPSW"
 constexpr std::uint32_t kCheckpointVersion = 1;
 constexpr std::uint32_t kCheckpointVersion2 = 2;  // compressed arrays
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-    os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-template <typename T>
-T read_pod(std::istream& is) {
-    T v{};
-    is.read(reinterpret_cast<char*>(&v), sizeof v);
-    if (!is) throw std::runtime_error("checkpoint: truncated stream");
-    return v;
-}
+using io::detail::read_pod;
+using io::detail::write_pod;
 
 void write_snapshot_header(const CheckpointSnapshot& s,
                            std::uint32_t version, std::ostream& os) {
@@ -1663,32 +1654,10 @@ CheckpointData ShallowWaterSolver<Policy>::read_checkpoint(
                 " grid " + std::to_string(nx_at_level) + "x" +
                 std::to_string(ny_at_level));
     }
-    auto read_array = [&](std::vector<double>& out) {
-        out.resize(n);
-        if (elem == 2) {
-            std::vector<std::uint16_t> tmp(n);
-            is.read(reinterpret_cast<char*>(tmp.data()),
-                    static_cast<std::streamsize>(n * sizeof(std::uint16_t)));
-            for (std::size_t k = 0; k < n; ++k)
-                out[k] = static_cast<double>(fp::Half::from_bits(tmp[k]));
-        } else if (elem == 4) {
-            std::vector<float> tmp(n);
-            is.read(reinterpret_cast<char*>(tmp.data()),
-                    static_cast<std::streamsize>(n * sizeof(float)));
-            for (std::size_t k = 0; k < n; ++k)
-                out[k] = static_cast<double>(tmp[k]);
-        } else {
-            is.read(reinterpret_cast<char*>(out.data()),
-                    static_cast<std::streamsize>(n * sizeof(double)));
-        }
-        if (!is) throw std::runtime_error("checkpoint: truncated arrays");
-    };
-    for (auto* a : {&d.h, &d.hu, &d.hv}) {
-        if (version == kCheckpointVersion)
-            read_array(*a);
-        else
-            *a = io::read_compressed_array(is, n);
-    }
+    for (auto* a : {&d.h, &d.hu, &d.hv})
+        *a = version == kCheckpointVersion
+                 ? io::read_raw_array(is, n, elem)
+                 : io::read_compressed_array(is, n);
     return d;
 }
 

@@ -207,6 +207,9 @@ TEST(Json, ValidatorRejectsMalformedDocuments) {
     EXPECT_FALSE(json::valid("{\"a\":1} trailing"));
     EXPECT_FALSE(json::valid("{'a':1}"));
     EXPECT_FALSE(json::valid("{\"a\":01}"));
+    // Unpaired surrogates: valid() accepts exactly what parse() accepts.
+    EXPECT_FALSE(json::valid("\"\\ud800\""));
+    EXPECT_FALSE(json::valid("\"\\udc00\""));
 }
 
 // ----------------------------------------------------------------- trace

@@ -1,22 +1,37 @@
 // Tests for the offline metrics analyzer (obs/report.hpp) that backs
-// tools/tp_report: stream digestion (manifest/step/numerics records,
-// crash-truncated tails, unknown types), the per-phase rollup, and the
-// baseline-vs-candidate regression gate with its three thresholds.
+// tools/tp_report and examples/obs_check: stream digestion
+// (manifest/step/numerics records, crash-truncated tails, unknown
+// types), the record schema (every real emitter passes it, every field
+// and value rule catches its breakage), the trace-file rules, the
+// per-phase rollup, and the baseline-vs-candidate regression gate with
+// its three thresholds.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <initializer_list>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "fp/governor.hpp"
+#include "io/checkpoint.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/numerics.hpp"
+#include "obs/obs.hpp"
+#include "obs/probe.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "par/dist_shallow.hpp"
+#include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
+#include "util/table.hpp"
 #include "util/timing.hpp"
 
 namespace report = tp::obs::report;
@@ -108,6 +123,521 @@ TEST(Summarize, NullMaxRelMarksInfiniteDivergence) {
         report::summarize({obs::numerics_record_json("k", "a", s)});
     ASSERT_EQ(run.numerics.count("k/a"), 1u);
     EXPECT_FALSE(run.numerics.at("k/a").max_rel_finite);
+}
+
+// ---------------------------------------------------------------- schema
+
+std::string temp_path(const char* stem) {
+    return std::string(::testing::TempDir()) + stem;
+}
+
+std::vector<std::string> lines_of(const std::string& path) {
+    std::ifstream is(path);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(is, line)) lines.push_back(line);
+    return lines;
+}
+
+/// What `emit` writes to the metrics stream.
+template <class Emit>
+std::vector<std::string> metrics_lines(const char* stem, Emit&& emit) {
+    const std::string path = temp_path(stem);
+    obs::metrics().open(path);
+    emit();
+    obs::metrics().close();
+    return lines_of(path);
+}
+
+std::string number_array(const std::vector<double>& v) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i != 0) out.push_back(',');
+        json::append_number(out, v[i]);
+    }
+    return out + "]";
+}
+
+std::string dist_trace_path() {
+    return temp_path("schema.dist.trace.json");
+}
+
+// Step records as examples/dam_break.cpp writes them; the second step
+// carries no mass, as on the steps between the example's mass strides.
+std::vector<std::string> clamr_step_records() {
+    tp::shallow::Config cfg;
+    cfg.geom = {0.0, 0.0, 100.0, 100.0, 16, 16, 1};
+    tp::shallow::ShallowWaterSolver<tp::fp::MixedPrecision> solver(cfg);
+    solver.initialize_dam_break({});
+    std::map<std::string, double> previous;
+    std::vector<std::string> out;
+    for (int k = 0; k < 2; ++k) {
+        const double dt = solver.step();
+        const auto& rz = solver.rezone_stats();
+        json::Object rec;
+        rec.field("type", "step")
+            .field("step", solver.step_count())
+            .field("t", solver.time())
+            .field("dt", dt)
+            .field("wall_s", 1e-3)
+            .field("cells",
+                   static_cast<std::uint64_t>(solver.mesh().num_cells()));
+        if (k == 0) rec.field("mass", solver.total_mass());
+        out.push_back(
+            rec.field("rezones", rz.rezones)
+                .field("rezone_cells_touched", rz.cells_touched)
+                .field("rezone_translated", rz.translated_cells)
+                .field("rezone_resolved", rz.resolved_cells)
+                .field("flops", solver.ledger().total().flops())
+                .field_raw("phase_seconds",
+                           obs::timer_delta_json(solver.timers(), previous))
+                .str());
+    }
+    return out;
+}
+
+// A step record as examples/thermal_bubble.cpp writes it.
+std::string sem_step_record() {
+    tp::sem::SemConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = 2;
+    cfg.order = 3;
+    tp::sem::SpectralEulerSolver<tp::fp::MinimumPrecision> solver(cfg);
+    solver.initialize_thermal_bubble({});
+    const double dt = solver.step();
+    std::map<std::string, double> previous;
+    return json::Object()
+        .field("type", "step")
+        .field("step", static_cast<std::int64_t>(solver.step_count()))
+        .field("t", solver.time())
+        .field("dt", dt)
+        .field("wall_s", 1e-3)
+        .field("nodes", static_cast<std::uint64_t>(solver.num_nodes()))
+        .field("mass_perturbation", solver.total_mass_perturbation())
+        .field("flops", solver.ledger().total().flops())
+        .field_raw("phase_seconds",
+                   obs::timer_delta_json(solver.timers(), previous))
+        .str();
+}
+
+// Step and dist records of a traced 3-rank run as
+// examples/dam_break_dist.cpp writes them, closed by the trace record
+// finish_observability() writes; the trace file lands at
+// dist_trace_path().
+std::vector<std::string> dist_records() {
+    return metrics_lines("schema.dist.jsonl", [] {
+        obs::trace_start(dist_trace_path());
+        tp::par::DistConfig cfg;
+        cfg.nx = cfg.ny = 32;
+        cfg.ranks = 3;
+        tp::par::DistributedShallowSolver<tp::fp::MixedPrecision> solver(cfg);
+        solver.initialize_dam_break();
+        std::map<std::string, double> previous;
+        std::vector<double> sent_before(3, 0.0);
+        for (int k = 0; k < 2; ++k) {
+            const double dt = solver.step();
+            obs::metrics().write_line(
+                json::Object()
+                    .field("type", "step")
+                    .field("step", solver.step_count())
+                    .field("t", solver.time())
+                    .field("dt", dt)
+                    .field("wall_s", 1e-3)
+                    .field("mass", solver.total_mass())
+                    .field("halo_bytes_sent", solver.halo_bytes_sent())
+                    .field("lb_resplits", solver.lb_stats().resplits)
+                    .field("flops", solver.ledger().total().flops())
+                    .field_raw("phase_seconds",
+                               obs::timer_delta_json(solver.timers(),
+                                                     previous))
+                    .str());
+            std::vector<double> post, pre, interior, wait, boundary, bytes;
+            for (int r = 0; r < 3; ++r) {
+                const auto& p = solver.rank_phase_seconds()[r];
+                post.push_back(p.post);
+                pre.push_back(p.precompute);
+                interior.push_back(p.interior);
+                wait.push_back(p.wait);
+                boundary.push_back(p.boundary);
+                const auto sent =
+                    static_cast<double>(solver.halo_bytes_sent(r));
+                bytes.push_back(sent - sent_before[r]);
+                sent_before[r] = sent;
+            }
+            obs::metrics().write_line(
+                json::Object()
+                    .field("type", "dist")
+                    .field("step", solver.step_count())
+                    .field("ranks", cfg.ranks)
+                    .field("wall_s", 1e-3)
+                    .field_raw("post_s", number_array(post))
+                    .field_raw("precompute_s", number_array(pre))
+                    .field_raw("interior_s", number_array(interior))
+                    .field_raw("wait_s", number_array(wait))
+                    .field_raw("boundary_s", number_array(boundary))
+                    .field_raw("halo_bytes", number_array(bytes))
+                    .field("resplits", std::uint64_t{0})
+                    .str());
+        }
+        obs::finish_observability();
+    });
+}
+
+/// A stream holding records of every type, each from its real emitter:
+/// the manifest first, NaN probes, infinite divergence, v1 and v2
+/// checkpoints, both governor transitions.
+const std::vector<std::string>& emitter_stream() {
+    static const std::vector<std::string> lines = [] {
+        std::vector<std::string> out;
+        const auto add = [&](const std::vector<std::string>& more) {
+            out.insert(out.end(), more.begin(), more.end());
+        };
+        add(metrics_lines("schema.manifest.jsonl", [] {
+            obs::write_manifest("test_report", {{"precision", "mixed"}});
+        }));
+        add(clamr_step_records());
+        out.push_back(sem_step_record());
+        add(metrics_lines("schema.fault.jsonl", [] {
+            try {
+                obs::raise_numerical_fault("unit.cfl", 7, "dt is NaN");
+            } catch (const obs::NumericalFault&) {
+            }
+        }));
+        add(metrics_lines("schema.probe.jsonl", [] {
+            obs::probe_reset();
+            const float healthy[3] = {1.0f, 2.0f, 3.0f};
+            const float poisoned[2] = {std::nanf(""), std::nanf("")};
+            obs::probe_array("unit.healthy", healthy, 3);
+            obs::probe_array("unit.nan", poisoned, 2);
+            obs::probe_flush_to_metrics();
+            obs::probe_reset();
+        }));
+        obs::DivergenceStats drift;
+        drift.observe(std::nextafterf(1.0f, 2.0f), 1.0);
+        out.push_back(obs::numerics_record_json("unit.kernel", "a", drift));
+        obs::DivergenceStats infinite;
+        infinite.observe(1.0f, 0.0);
+        out.push_back(
+            obs::numerics_record_json("unit.kernel", "b", infinite));
+        tp::fp::GovernorConfig gcfg;
+        gcfg.enabled = true;
+        const tp::fp::PrecisionGovernor governor(gcfg);
+        out.push_back(governor.decision_record_json(
+            {12, "clamr.flux_sweep", "promote", 9, 0.02, 64, 0}));
+        out.push_back(governor.decision_record_json(
+            {20, "clamr.flux_sweep", "demote", 0, 0.0, 64, 8}));
+        tp::util::TextTable table("Table X: demo");
+        table.set_header({"a", "b"});
+        table.add_row({"1", "2"});
+        out.push_back(table.json_str());
+        out.push_back(tp::io::checkpoint_record(
+            "ck.bin", 40, {1, 3000, 3000, {}}, 1e-3, 2e-3, 0.0, false));
+        out.push_back(tp::io::checkpoint_record(
+            "ck.bin", 40, {2, 3000, 1200, {12, 14, 14}}, 1e-3, 2e-3, 5e-4,
+            true));
+        add(dist_records());
+        return out;
+    }();
+    return lines;
+}
+
+/// The first emitter record of `type`.
+json::Value sample(const std::string& type) {
+    for (const std::string& line : emitter_stream())
+        if (auto rec = json::parse(line); rec->string_or("type", "") == type)
+            return *rec;
+    ADD_FAILURE() << "no emitter record of type " << type;
+    return json::Value::make_object();
+}
+
+/// `rec` with member `key` set to `value` (appended if absent), or
+/// removed when `value` is null.
+json::Value with(const json::Value& rec, const std::string& key,
+                 const json::Value* value) {
+    json::Value out = json::Value::make_object();
+    bool set = false;
+    for (const auto& [k, v] : rec.members()) {
+        if (k != key) {
+            out.push_member(k, v);
+        } else if (value != nullptr) {
+            out.push_member(k, *value);
+            set = true;
+        }
+    }
+    if (value != nullptr && !set) out.push_member(key, *value);
+    return out;
+}
+
+json::Value with(const json::Value& rec, const std::string& key,
+                 const json::Value& value) {
+    return with(rec, key, &value);
+}
+
+json::Value array_of(std::initializer_list<double> xs) {
+    json::Value a = json::Value::make_array();
+    for (double x : xs) a.push_item(json::Value(x));
+    return a;
+}
+
+json::Value wrong_kind(report::Kind k) {
+    return k == report::Kind::Number || k == report::Kind::Real
+               ? json::Value(std::string("x"))
+               : json::Value(1.0);
+}
+
+std::string quoted(const char* name) {
+    return std::string(1, '\'') + name + '\'';
+}
+
+std::size_t count_naming(const std::vector<std::string>& problems,
+                         const std::string& what) {
+    return static_cast<std::size_t>(
+        std::count_if(problems.begin(), problems.end(),
+                      [&](const std::string& p) {
+                          return p.find(what) != std::string::npos;
+                      }));
+}
+
+TEST(Schema, EveryEmitterWritesValidRecords) {
+    std::vector<std::string> problems;
+    const report::RunSummary run =
+        report::summarize(emitter_stream(), &problems);
+    EXPECT_TRUE(problems.empty()) << problems.front();
+    EXPECT_EQ(run.invalid_lines, 0);
+    EXPECT_EQ(run.unknown_records, 0);
+    std::set<std::string> types;
+    for (const std::string& line : emitter_stream())
+        types.insert(json::parse(line)->string_or("type", "?"));
+    ASSERT_EQ(report::record_types().size(), 10u);
+    for (const report::RecordType& rt : report::record_types())
+        EXPECT_EQ(types.count(rt.type), 1u) << rt.type;
+    // The all-NaN probe and the infinite divergence write Real nulls.
+    EXPECT_EQ(run.probes, 2);
+    EXPECT_TRUE(sample("probe").find("min")->is_number());
+    const auto nan_probe = std::find_if(
+        emitter_stream().begin(), emitter_stream().end(),
+        [](const std::string& line) {
+            return line.find("\"unit.nan\"") != std::string::npos;
+        });
+    ASSERT_NE(nan_probe, emitter_stream().end());
+    EXPECT_TRUE(json::parse(*nan_probe)->find("min")->is_null());
+    EXPECT_FALSE(run.numerics.at("unit.kernel/b").max_rel_finite);
+    EXPECT_TRUE(run.has_trace_record);
+}
+
+TEST(Schema, MissingFieldIsOneProblemWhenRequired) {
+    for (const report::RecordType& rt : report::record_types()) {
+        const json::Value rec = sample(rt.type);
+        for (const report::Field& f : rt.fields) {
+            const auto problems =
+                report::check_record(with(rec, f.name, nullptr));
+            ASSERT_EQ(problems.size(), f.required ? 1u : 0u)
+                << rt.type << "." << f.name;
+            if (f.required) {
+                EXPECT_EQ(count_naming(problems, quoted(f.name)), 1u)
+                    << problems[0];
+            }
+        }
+    }
+}
+
+TEST(Schema, WrongKindIsOneProblemNamingTheField) {
+    for (const report::RecordType& rt : report::record_types()) {
+        const json::Value rec = sample(rt.type);
+        for (const report::Field& f : rt.fields) {
+            const auto problems =
+                report::check_record(with(rec, f.name, wrong_kind(f.kind)));
+            ASSERT_EQ(problems.size(), 1u) << rt.type << "." << f.name;
+            EXPECT_EQ(count_naming(problems, quoted(f.name)), 1u)
+                << problems[0];
+        }
+    }
+    // A Name is a non-empty string.
+    const auto problems = report::check_record(
+        with(sample("numerics"), "kernel", json::Value(std::string())));
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_EQ(count_naming(problems, "'kernel' is not a non-empty string"),
+              1u);
+}
+
+TEST(Schema, EachValueRuleHasAFailingCase) {
+    const json::Value numerics = sample("numerics");
+    const double samples = numerics.number_or("samples", 0.0);
+    const json::Value v1 = sample("checkpoint");
+    const json::Value v2 = with(v1, "bits", array_of({12, 16}));
+    const json::Value dist = sample("dist");
+    const std::vector<std::pair<json::Value, std::string>> cases = {
+        {with(sample("step"), "dt", json::Value()),
+         "field 'dt' is not a number"},
+        {with(numerics, "samples", json::Value(samples + 1)),
+         "rel_hist is not a list of counts summing to samples"},
+        {with(with(numerics, "samples", json::Value(1.0)), "rel_hist",
+              array_of({2, -1})),
+         "rel_hist is not a list of counts summing to samples"},
+        {with(with(with(numerics, "samples", json::Value(0.0)), "exact",
+                   json::Value(0.0)),
+              "rel_hist", array_of({})),
+         "rel_hist is not a list of counts summing to samples"},
+        {with(numerics, "exact", json::Value(samples + 1)),
+         "exact > samples"},
+        {with(sample("governor"), "action", json::Value(std::string("hold"))),
+         "action is not promote|demote"},
+        {with(sample("governor"), "from", json::Value(std::string("half"))),
+         "field 'from' is not float|double"},
+        {with(sample("governor"), "to", json::Value(std::string("half"))),
+         "field 'to' is not float|double"},
+        {with(v1, "version", json::Value(3.0)), "version is not 1|2"},
+        {with(v1, "version", json::Value(2.0)),
+         "v2 but carries no per-array rates"},
+        {with(with(v2, "version", json::Value(2.0)), "bits",
+              array_of({12, 33})),
+         "bits entry outside [2,32]"},
+        {with(with(v2, "version", json::Value(2.0)), "bits", array_of({1})),
+         "bits entry outside [2,32]"},
+        {with(dist, "wait_s", array_of({0.1, 0.2})),
+         "field 'wait_s' does not hold one non-negative number per rank"},
+        {with(dist, "halo_bytes", array_of({1, -1, 1})),
+         "field 'halo_bytes' does not hold one non-negative number per rank"},
+        {with(dist, "resplits", json::Value(-1.0)),
+         "field 'resplits' is negative"},
+        {*json::parse("{\"type\":\"dist\",\"step\":1,\"ranks\":0,"
+                      "\"wall_s\":0,\"post_s\":[],\"precompute_s\":[],"
+                      "\"interior_s\":[],\"wait_s\":[],"
+                      "\"boundary_s\":[],\"halo_bytes\":[],"
+                      "\"resplits\":0}"),
+         "ranks < 1"},
+        {with(sample("trace"), "events", json::Value(-1.0)),
+         "field 'events' is negative"},
+        {with(sample("trace"), "dropped", json::Value(-1.0)),
+         "field 'dropped' is negative"},
+        {*json::parse("{\"type\":\"wibble\"}"),
+         "unknown record type 'wibble' (known: manifest, step"},
+        {*json::parse("{\"kind\":\"step\"}"),
+         "not an object with a string 'type'"},
+        {*json::parse("[1]"), "not an object with a string 'type'"},
+    };
+    for (const auto& [rec, expect] : cases) {
+        const auto problems = report::check_record(rec);
+        ASSERT_EQ(problems.size(), 1u) << expect;
+        EXPECT_EQ(count_naming(problems, expect), 1u) << problems[0];
+    }
+}
+
+TEST(Schema, SummarizeChecksTheStreamWhenAsked) {
+    const std::string manifest = emitter_stream()[0];
+    const std::string step = emitter_stream()[1];
+    const auto problems_of = [](const std::vector<std::string>& lines) {
+        std::vector<std::string> problems;
+        (void)report::summarize(lines, &problems);
+        return problems;
+    };
+    EXPECT_TRUE(problems_of({manifest, step}).empty());
+    using Problems = std::vector<std::string>;
+    EXPECT_EQ(problems_of({step, manifest}),
+              Problems{"does not start with a manifest record"});
+    EXPECT_EQ(problems_of({manifest}), Problems{"has no step records"});
+    EXPECT_EQ(problems_of({}),
+              (Problems{"does not start with a manifest record",
+                        "has no step records"}));
+    EXPECT_EQ(problems_of({manifest, step, ""}),
+              Problems{"line 3: empty line"});
+    EXPECT_EQ(problems_of({manifest, step, "{\"type\":\"step\",\"t\":"}),
+              Problems{"line 3: not valid JSON"});
+    const Problems unknown =
+        problems_of({manifest, step, "{\"type\":\"wibble\"}"});
+    ASSERT_EQ(unknown.size(), 1u);
+    EXPECT_EQ(unknown[0].rfind("line 3: unknown record type 'wibble'", 0),
+              0u);
+}
+
+// ---------------------------------------------------------- trace file
+
+std::string trace_doc(const std::vector<std::string>& events) {
+    std::string doc = "{\"traceEvents\":[";
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        if (i != 0) doc += ',';
+        doc += events[i];
+    }
+    return doc + "]}";
+}
+
+std::string track(int tid) {
+    return "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":" +
+           std::to_string(tid) + ",\"args\":{\"name\":\"rank\"}}";
+}
+
+std::string span(int tid, const char* extra = ",\"dur\":2") {
+    return "{\"name\":\"dist.rank.post\",\"ph\":\"X\",\"ts\":1" +
+           std::string(extra) + ",\"pid\":2,\"tid\":" +
+           std::to_string(tid) + "}";
+}
+
+std::string flow(char ph, int id, int ts, int src, int dst) {
+    return std::string("{\"name\":\"halo\",\"ph\":\"") + ph +
+           "\",\"id\":" + std::to_string(id) + ",\"ts\":" +
+           std::to_string(ts) + ",\"pid\":2,\"tid\":" +
+           std::to_string(ph == 's' ? src : dst) + ",\"args\":{\"src\":" +
+           std::to_string(src) + ",\"dst\":" + std::to_string(dst) + "}}";
+}
+
+std::vector<std::string> trace_problems(
+    const std::string& doc, const std::vector<std::string>& spans = {}) {
+    const auto root = json::parse(doc);
+    EXPECT_TRUE(root.has_value()) << doc;
+    return root ? report::check_trace(*root, spans)
+                : std::vector<std::string>{"unparsed"};
+}
+
+TEST(TraceCheck, RealTracedDistRunPasses) {
+    (void)emitter_stream();  // runs the traced 3-rank solver
+    std::ifstream is(dist_trace_path());
+    std::stringstream buf;
+    buf << is.rdbuf();
+    EXPECT_EQ(trace_problems(buf.str(), {"dist.step", "dist.rank.post",
+                                         "dist.rank.wait", "halo"}),
+              std::vector<std::string>{});
+}
+
+TEST(TraceCheck, EachRuleHasAFailingCase) {
+    const std::string t0 = track(0), t1 = track(1);
+    const std::string s01 = flow('s', 1, 1, 0, 1), f01 = flow('f', 1, 2, 0, 1);
+    EXPECT_TRUE(trace_problems(trace_doc({t0, t1, span(0), s01, f01}),
+                               {"dist.rank.post", "halo"})
+                    .empty());
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {trace_problems("{\"events\":[]}"), "has no traceEvents array"},
+            {trace_problems(trace_doc({t0, t1, s01, f01})),
+             "has no span events"},
+            {trace_problems(trace_doc({t0, span(0, "")})),
+             "span event is missing a number 'dur'"},
+            {trace_problems(trace_doc({t0, span(0)}), {"dist.step"}),
+             "has no 'dist.step' span"},
+            {trace_problems(trace_doc({t0, span(7)})),
+             "event 'dist.rank.post' sits on an undeclared rank track"},
+            {trace_problems(trace_doc({track(-1), t0, span(0)})),
+             "declares a negative rank track id"},
+            {trace_problems(trace_doc(
+                 {t0, t1, span(0),
+                  "{\"name\":\"halo\",\"ph\":\"s\",\"ts\":1,\"pid\":2,"
+                  "\"tid\":0}"})),
+             "flow event has no numeric id"},
+            {trace_problems(trace_doc(
+                 {t0, t1, span(0), flow('s', 1, 1, 0, 5), f01})),
+             "names an out-of-range rank in args.dst"},
+            {trace_problems(trace_doc({t0, t1, span(0), s01, s01, f01})),
+             "reuses flow id"},
+            {trace_problems(trace_doc({t0, t1, span(0), f01})),
+             "finish has no matching start"},
+            {trace_problems(
+                 trace_doc({t0, t1, span(0), s01, flow('f', 1, 0, 0, 1)})),
+             "finishes before it starts"},
+            {trace_problems(trace_doc({t0, t1, span(0), s01})),
+             "has 1 flow start(s) with no finish"},
+            {trace_problems(trace_doc({span(0), s01, f01})),
+             "carries flow events but no rank-track metadata"},
+        };
+    for (const auto& [problems, expect] : cases)
+        EXPECT_EQ(count_naming(problems, expect), 1u) << expect;
 }
 
 // ---------------------------------------------------------- phase rollup
