@@ -209,6 +209,7 @@ double SpectralEulerSolver<Policy>::kinetic_energy() const {
 }
 
 template <fp::PrecisionPolicy Policy>
+template <typename K>
 void SpectralEulerSolver<Policy>::account(const std::string& kernel,
                                           double seconds,
                                           std::uint64_t flops,
@@ -216,7 +217,7 @@ void SpectralEulerSolver<Policy>::account(const std::string& kernel,
                                           std::uint64_t converts,
                                           std::uint64_t bytes_compute,
                                           std::uint32_t simd_lanes) {
-    constexpr bool sp = std::is_same_v<compute_t, float>;
+    constexpr bool sp = std::is_same_v<K, float>;
     // Every SEM kernel forks one team over its element/face loop, so the
     // current global team size is the right value to record. simd_lanes is
     // nonzero only for the kernels with an explicit pack body (volume,
@@ -302,8 +303,8 @@ void SpectralEulerSolver<Policy>::volume_kernel() {
          std::is_same_v<compute_t, double>)
             ? nodes * 8
             : 0;
-    account("volume", phase.stop(), flops, bytes, converts,
-            nodes * 10 * sizeof(compute_t), simd::native_lanes<compute_t>);
+    account<S>("volume", phase.stop(), flops, bytes, converts,
+               nodes * 10 * sizeof(compute_t), simd::native_lanes<S>);
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -464,8 +465,8 @@ void SpectralEulerSolver<Policy>::surface_kernel() {
          std::is_same_v<compute_t, double>)
             ? face_nodes * 10
             : 0;
-    account("surface", phase.stop(), flops, bytes, converts,
-            face_nodes * 10 * sizeof(compute_t));
+    account<S>("surface", phase.stop(), flops, bytes, converts,
+               face_nodes * 10 * sizeof(compute_t));
 }
 
 // --- BR1 viscous terms ------------------------------------------------

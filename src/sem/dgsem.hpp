@@ -244,6 +244,9 @@ private:
     void shadow_profile_rk_observe() const;
     void shadow_profile_filter_capture();
     void shadow_profile_filter_observe();
+    /// Ledger entry for one kernel call whose flops ran in K (a governed
+    /// rhs kernel's kernel scalar, compute_t for the rest).
+    template <typename K = compute_t>
     void account(const std::string& kernel, double seconds,
                  std::uint64_t flops, std::uint64_t bytes,
                  std::uint64_t converts, std::uint64_t bytes_compute = 0,

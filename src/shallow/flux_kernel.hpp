@@ -1,30 +1,39 @@
 #pragma once
 // The Rusanov flux sweep as width-templated kernels (internal to the
-// shallow-water solver; tests include it to probe the instantiations
-// directly).
+// shallow-water solvers: the AMR solver's sweep, and the distributed
+// solver's row kernels at the end of this file).
 //
-// One template body per kernel, two instantiations per precision policy:
+// One template body per AMR kernel, instantiated per arithmetic type C
+// and width W:
 //
+//   C                           the type the body computes in: the
+//                               policy's compute_t, or on a governed step
+//                               the other float type (DESIGN.md §11). The
+//                               kernel reads the compute_t width tables
+//                               and a double gravity and casts both to C,
+//                               and stores each increment into the
+//                               compute_t buffers (D) with one cast;
 //   W == 1                      the scalar path, driven from a translation
 //                               unit compiled with the auto-vectorizer off
 //                               (flux_scalar.cpp) so it measures true
 //                               scalar issue (Table III's baseline);
-//   W == native_lanes<compute>  the vector path, lowered to full-width
+//   W == native_lanes<C>        the vector path, lowered to full-width
 //                               SIMD by the pack primitives and the
 //                               annotated loops (solver.cpp).
 //
 // Every operation is an individually rounded IEEE op in either shape and
-// the kernel TUs are compiled with -ffp-contract=off, so the two
-// instantiations are bit-identical per cell — `--simd` changes
-// instruction shape, never the physics.
+// the kernel TUs are compiled with -ffp-contract=off, so the two widths
+// are bit-identical per cell — `--simd` changes instruction shape, never
+// the physics.
 //
 // The AMR sweep is tiled (DESIGN.md §13): the solver groups same-level
 // cells into Morton-aligned 8x8 tiles and computes every cell whose four
 // sides each touch exactly one same-or-coarser neighbor with the dense
 // tile kernel below; the remaining cells (level interfaces, the domain
 // edge, sparse tiles) go through flux_block_gather, which reads the
-// neighbor-slot tables directly.
+// neighbor-slot tables directly. flux_sweep drives both.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -37,21 +46,22 @@ namespace tp::shallow::detail {
 
 /// Pointer bundle for one sweep — everything the kernel reads or writes,
 /// so the W = 1 and W = native drivers cannot drift apart in what they
-/// touch.
-template <typename S, typename C>
+/// touch. S is the storage type, D the policy's compute_t: the type of
+/// the increments and the width tables at either arithmetic type.
+template <typename S, typename D>
 struct FluxArgs {
     const S* h;
     const S* hu;
     const S* hv;
-    C* dh;
-    C* dhu;
-    C* dhv;
+    D* dh;
+    D* dhu;
+    D* dhv;
     const std::int32_t* nbr;  // kSlots slot-major tables of length n
     const mesh::Cell* cells;  // each cell's level picks its face widths
-    const C* wx;              // per-level x-face width (cell_dy)
-    const C* wy;              // per-level y-face width (cell_dx)
+    const D* wx;              // per-level x-face width (cell_dy)
+    const D* wy;              // per-level y-face width (cell_dx)
     std::size_t n;
-    C gravity;
+    double gravity;
 };
 
 /// Sub-face area of neighbor slot `slot` of cell `c` (at `level`), read off
@@ -88,16 +98,17 @@ struct LevelRun {
 /// interfaces) ride full-width packs this way. Dead lanes of a partial
 /// pack replicate the last valid cell, so every lane computes on real,
 /// finite data.
-template <typename S, typename C, int W>
-inline void flux_block_gather(const FluxArgs<S, C>& A,
+template <typename S, typename C, int W, typename D>
+inline void flux_block_gather(const FluxArgs<S, D>& A,
                               const std::int32_t* cells, int m) {
     using cpk = simd::pack<C, W>;
     using spk = simd::pack<S, W>;
     const bool full = m == W;
 
-    const cpk g = cpk::broadcast(A.gravity);
+    const C gravity = static_cast<C>(A.gravity);
+    const cpk g = cpk::broadcast(gravity);
     const cpk half = cpk::broadcast(C(0.5));
-    const cpk half_g = cpk::broadcast(C(0.5) * A.gravity);
+    const cpk half_g = cpk::broadcast(C(0.5) * gravity);
     const cpk one = cpk::broadcast(C(1));
     const cpk hfloor = cpk::broadcast(C(1e-8));
 
@@ -130,8 +141,9 @@ inline void flux_block_gather(const FluxArgs<S, C>& A,
         C area[W];
         for (int l = 0; l < W; ++l) {
             idx[l] = A.nbr[off + lane_cell[l]];
-            area[l] = slot_area(A.nbr, A.n, SLOT, lane_cell[l], lane_level[l],
-                                xd ? A.wx : A.wy);
+            area[l] = static_cast<C>(slot_area(A.nbr, A.n, SLOT,
+                                               lane_cell[l], lane_level[l],
+                                               xd ? A.wx : A.wy));
         }
         const cpk a = cpk::load(area);
         const auto gather_state = [&](const S* p) {
@@ -189,9 +201,9 @@ inline void flux_block_gather(const FluxArgs<S, C>& A,
     side.template operator()<7>();
     for (int l = 0; l < m; ++l) {
         const auto cell = static_cast<std::size_t>(cells[l]);
-        A.dh[cell] = ddh[l];
-        A.dhu[cell] = ddhu[l];
-        A.dhv[cell] = ddhv[l];
+        A.dh[cell] = static_cast<D>(ddh[l]);
+        A.dhu[cell] = static_cast<D>(ddhu[l]);
+        A.dhv[cell] = static_cast<D>(ddhv[l]);
     }
 }
 
@@ -234,8 +246,8 @@ inline constexpr int kTilePadCells = kTilePad * kTilePad;
 
 /// One sweepable tile: its source map plus its level. Regular cells never
 /// see a fine sub-face, so every face of the tile has its level's full
-/// width: a per-tile broadcast from the sweep's per-level width tables, at
-/// whichever compute precision the sweep runs. Bit jj * kTileSize + ii of
+/// width: a per-tile broadcast from the sweep's per-level width tables,
+/// cast to the sweep's arithmetic type. Bit jj * kTileSize + ii of
 /// `regular` names interior position (ii, jj).
 struct TileBlock {
     /// kTilePadCells gather map: each member's own index, and at each
@@ -246,31 +258,32 @@ struct TileBlock {
     std::int32_t level;     ///< every member's level
 };
 
-template <typename S, typename C>
+/// The tile sweep's pointer bundle; S and D as in FluxArgs.
+template <typename S, typename D>
 struct TileSweepArgs {
     const S* h;
     const S* hu;
     const S* hv;
-    C* dh;
-    C* dhu;
-    C* dhv;
+    D* dh;
+    D* dhu;
+    D* dhv;
     const TileBlock* blocks;
     std::size_t nblocks;
-    const C* wx;  // per-level x-face width (cell_dy)
-    const C* wy;  // per-level y-face width (cell_dx)
-    C gravity;
+    const D* wx;  // per-level x-face width (cell_dy)
+    const D* wy;  // per-level y-face width (cell_dx)
+    double gravity;
 };
 
 /// Gather, precompute, and sweep one tile; scatter increments for the
 /// regular members only (irregular members are someone else's fallback
 /// run). ~11 KB of stack scratch per call — no heap, no sharing.
-template <typename S, typename C, int W>
-inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock& B) {
-    const C wx = A.wx[B.level];
-    const C wy = A.wy[B.level];
-    const C g = A.gravity;
+template <typename S, typename C, int W, typename D>
+inline void tile_block(const TileSweepArgs<S, D>& A, const TileBlock& B) {
+    const C wx = static_cast<C>(A.wx[B.level]);
+    const C wy = static_cast<C>(A.wy[B.level]);
+    const C g = static_cast<C>(A.gravity);
     const C half = C(0.5);
-    const C half_g = C(0.5) * A.gravity;
+    const C half_g = C(0.5) * g;
     const C one = C(1);
     const C hfloor = C(1e-8);
 
@@ -405,10 +418,30 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock& B) {
         m &= m - 1;
         const std::int32_t cell =
             B.src[tile_padded(k % kTileSize, k / kTileSize)];
-        A.dh[cell] = odh[k];
-        A.dhu[cell] = odhu[k];
-        A.dhv[cell] = odhv[k];
+        A.dh[cell] = static_cast<D>(odh[k]);
+        A.dhu[cell] = static_cast<D>(odhu[k]);
+        A.dhv[cell] = static_cast<D>(odhv[k]);
     }
+}
+
+/// The whole flux sweep at arithmetic type C and width W: the dense tiles,
+/// then flux_block_gather over the sorted fallback cells, W to a pack.
+/// Together they cover every cell exactly once, and each tile or pack
+/// writes only its own cells' increments, so both loops thread with no
+/// synchronization and the result is identical at any team size.
+template <typename C, int W, typename S, typename D>
+void flux_sweep(const TileSweepArgs<S, D>& T, const FluxArgs<S, D>& F,
+                const std::int32_t* fallback, std::size_t nfallback) {
+    const auto nt = static_cast<std::int64_t>(T.nblocks);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t b = 0; b < nt; ++b)
+        tile_block<S, C, W, D>(T, T.blocks[b]);
+    const auto nf = static_cast<std::int64_t>(nfallback);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t c = 0; c < nf; c += W)
+        flux_block_gather<S, C, W, D>(
+            F, fallback + c,
+            static_cast<int>(std::min<std::int64_t>(W, nf - c)));
 }
 
 // --------------------------------------------------------------------------

@@ -129,8 +129,6 @@ ShallowWaterSolver<Policy>::ShallowWaterSolver(const Config& config)
         const auto k = static_cast<std::size_t>(l);
         width_x_[k] = static_cast<compute_t>(mesh_.cell_dy(l));
         width_y_[k] = static_cast<compute_t>(mesh_.cell_dx(l));
-        width_x_alt_[k] = static_cast<alt_compute_t>(width_x_[k]);
-        width_y_alt_[k] = static_cast<alt_compute_t>(width_y_[k]);
         inv_area_by_level_[k] = static_cast<compute_t>(
             1.0 / (mesh_.cell_dx(l) * mesh_.cell_dy(l)));
     }
@@ -897,8 +895,7 @@ ShallowWaterSolver<Policy>::flux_args() {
     return {h_.data(),       hu_.data(),           hv_.data(),
             dh_.data(),      dhu_.data(),          dhv_.data(),
             nbr_idx_.data(), mesh_.cells().data(), width_x_.data(),
-            width_y_.data(), mesh_.num_cells(),
-            static_cast<compute_t>(config_.gravity)};
+            width_y_.data(), mesh_.num_cells(),    config_.gravity};
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -907,41 +904,31 @@ auto ShallowWaterSolver<Policy>::tile_args()
     return {h_.data(),           hu_.data(),          hv_.data(),
             dh_.data(),          dhu_.data(),         dhv_.data(),
             tile_blocks_.data(), tile_blocks_.size(), width_x_.data(),
-            width_y_.data(),     static_cast<compute_t>(config_.gravity)};
+            width_y_.data(),     config_.gravity};
 }
 
-// The flux sweep: dense unit-stride tiles for the regular cells,
-// flux_block_gather over the fallback list for the rest. Together they
-// cover every cell exactly once, and each tile or pack writes only its own
-// cells' increments, so both loops thread with no synchronization and the
-// result is identical at any team size. The scalar twin
-// (flux_sweep_scalar) lives in flux_scalar.cpp, compiled with the
-// auto-vectorizer off; it instantiates the same kernels at W = 1, so the
-// two paths differ only in instruction shape.
+// The flux sweep at arithmetic type K (detail::flux_sweep). The native
+// width is K's; the scalar twin (flux_sweep_scalar) lives in
+// flux_scalar.cpp, compiled with the auto-vectorizer off, and runs the
+// same sweep at W = 1, so the two paths differ only in instruction shape.
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_native() {
-    const auto targs = tile_args();
-    const auto nt = static_cast<std::int64_t>(targs.nblocks);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nt; ++b)
-        detail::tile_block<storage_t, compute_t, kNativeLanes>(
-            targs, targs.blocks[b]);
-    const auto fargs = flux_args();
-    const std::int32_t* fb = fallback_cells_.data();
-    const auto nf = static_cast<std::int64_t>(fallback_cells_.size());
-#pragma omp parallel for schedule(static)
-    for (std::int64_t c = 0; c < nf; c += kNativeLanes)
-        detail::flux_block_gather<storage_t, compute_t, kNativeLanes>(
-            fargs, fb + c,
-            static_cast<int>(std::min<std::int64_t>(kNativeLanes, nf - c)));
+template <typename K>
+int ShallowWaterSolver<Policy>::flux_sweep() {
+    if (!simd::use_native(config_.simd)) {
+        flux_sweep_scalar<K>();
+        return 1;
+    }
+    constexpr int W = simd::native_lanes<K>;
+    detail::flux_sweep<K, W>(tile_args(), flux_args(), fallback_cells_.data(),
+                             fallback_cells_.size());
+    return W;
 }
 
 // --- governed flux path (fp/governor.hpp) ---------------------------------
-// The same width-templated kernels, instantiated at the *other* compute
-// precision. Increments land in the _alt buffers and are folded back into
-// dh_/dhu_/dhv_ with one cast per cell, so the boundary closure and the
-// cell update are shared with the static path. A detached or disabled
-// governor never reaches any of this code.
+// A governed step runs the same sweep at the *other* compute precision
+// (finite_diff picks the type), into the same increment buffers, so the
+// boundary closure and the cell update are shared with the static path.
+// A detached or disabled governor never reaches any of this code.
 
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::set_governor(
@@ -950,60 +937,6 @@ void ShallowWaterSolver<Policy>::set_governor(
     gov_flux_id_ = -1;
     if (governor_ != nullptr && governor_->enabled())
         gov_flux_id_ = governor_->register_kernel("clamr.flux_sweep");
-}
-
-template <fp::PrecisionPolicy Policy>
-auto ShallowWaterSolver<Policy>::flux_args_alt()
-    -> detail::FluxArgs<storage_t, alt_compute_t> {
-    return {h_.data(),           hu_.data(),           hv_.data(),
-            dh_alt_.data(),      dhu_alt_.data(),      dhv_alt_.data(),
-            nbr_idx_.data(),     mesh_.cells().data(), width_x_alt_.data(),
-            width_y_alt_.data(), mesh_.num_cells(),
-            static_cast<alt_compute_t>(config_.gravity)};
-}
-
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::fold_alt_increments() {
-    const std::size_t n = mesh_.num_cells();
-    compute_t* dh = dh_.data();
-    compute_t* dhu = dhu_.data();
-    compute_t* dhv = dhv_.data();
-    const alt_compute_t* adh = dh_alt_.data();
-    const alt_compute_t* adhu = dhu_alt_.data();
-    const alt_compute_t* adhv = dhv_alt_.data();
-#pragma omp parallel for simd schedule(static)
-    for (std::size_t c = 0; c < n; ++c) {
-        dh[c] = static_cast<compute_t>(adh[c]);
-        dhu[c] = static_cast<compute_t>(adhu[c]);
-        dhv[c] = static_cast<compute_t>(adhv[c]);
-    }
-}
-
-template <fp::PrecisionPolicy Policy>
-auto ShallowWaterSolver<Policy>::tile_args_alt()
-    -> detail::TileSweepArgs<storage_t, alt_compute_t> {
-    return {h_.data(),           hu_.data(),          hv_.data(),
-            dh_alt_.data(),      dhu_alt_.data(),     dhv_alt_.data(),
-            tile_blocks_.data(), tile_blocks_.size(), width_x_alt_.data(),
-            width_y_alt_.data(), static_cast<alt_compute_t>(config_.gravity)};
-}
-
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_alt_native() {
-    const auto targs = tile_args_alt();
-    const auto nt = static_cast<std::int64_t>(targs.nblocks);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nt; ++b)
-        detail::tile_block<storage_t, alt_compute_t, kAltLanes>(
-            targs, targs.blocks[b]);
-    const auto fargs = flux_args_alt();
-    const std::int32_t* fb = fallback_cells_.data();
-    const auto nf = static_cast<std::int64_t>(fallback_cells_.size());
-#pragma omp parallel for schedule(static)
-    for (std::int64_t c = 0; c < nf; c += kAltLanes)
-        detail::flux_block_gather<storage_t, alt_compute_t, kAltLanes>(
-            fargs, fb + c,
-            static_cast<int>(std::min<std::int64_t>(kAltLanes, nf - c)));
 }
 
 // Governor telemetry: a strided sample of post-sweep increments, observed
@@ -1247,7 +1180,8 @@ void ShallowWaterSolver<Policy>::shadow_profile_remap(
 
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::account_finite_diff(double seconds,
-                                                     int lanes) {
+                                                     int lanes,
+                                                     bool sweep_float) {
     const std::uint64_t bfaces = mesh_.boundary_faces().size();
     const std::uint64_t cells = mesh_.num_cells();
     constexpr std::uint64_t ss = sizeof(storage_t);
@@ -1255,9 +1189,9 @@ void ShallowWaterSolver<Policy>::account_finite_diff(double seconds,
     // Cell-centric kernel: every cell evaluates up to kSlots sub-face
     // fluxes (shared faces are computed on both sides — CLAMR's trade of
     // redundant flops for a scatter-free, vectorizable loop).
-    const std::uint64_t flops = cells * kSlots * kSlotFlops +
-                                bfaces * kBoundaryFaceFlops +
-                                cells * kCellUpdateFlops;
+    const std::uint64_t sweep = cells * kSlots * kSlotFlops;
+    const std::uint64_t rest =
+        bfaces * kBoundaryFaceFlops + cells * kCellUpdateFlops;
     // Storage traffic: compulsory read+write of the three state arrays
     // plus gather spill on the neighbor loads (mostly cache-resident in
     // Z-order). Compute-precision traffic: the increment buffers, streamed
@@ -1265,13 +1199,14 @@ void ShallowWaterSolver<Policy>::account_finite_diff(double seconds,
     const std::uint64_t bytes = cells * 6 * ss + cells * 4 * ss;
     const std::uint64_t bytes_compute = cells * 6 * sc;
     constexpr bool sp = std::is_same_v<compute_t, float>;
+    const std::uint64_t flops_sp = (sweep_float ? sweep : 0) + (sp ? rest : 0);
     // Only float<->double staging rides the GPU DP pipe; half<->float
     // conversions are cheap (F16C-class) and are not charged.
     const std::uint64_t converts =
         (ss != sc && std::is_same_v<compute_t, double>)
             ? cells * (3 + kSlots * 3 + 6)
             : 0;
-    ledger_.record("finite_diff", seconds, sp ? flops : 0, sp ? 0 : flops,
+    ledger_.record("finite_diff", seconds, flops_sp, sweep + rest - flops_sp,
                    bytes, converts, bytes_compute,
                    static_cast<std::uint32_t>(util::max_threads()),
                    static_cast<std::uint32_t>(lanes));
@@ -1280,39 +1215,22 @@ void ShallowWaterSolver<Policy>::account_finite_diff(double seconds,
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::finite_diff(double dt) {
     obs::Phase phase("clamr.finite_diff", timers_, "finite_diff");
-    const bool native = simd::use_native(config_.simd);
     const bool governed =
         governor_ != nullptr && governor_->enabled() && gov_flux_id_ >= 0;
     // "Reduced" means the float lattice; for a float-compute policy that
-    // is the policy's own path, so the alt sweep runs exactly when the
-    // governor's regime differs from what the policy computes natively.
+    // is compute_t itself, so the sweep computes in alt_compute_t exactly
+    // when the governor's regime differs from what the policy computes in.
     const bool use_alt =
         governed && (governor_->reduced(gov_flux_id_) !=
                      std::is_same_v<compute_t, float>);
+    int lanes;
     {
         // The sweep alone is its own phase ("flux_sweep") so its cost is
         // measurable without the boundary closure, shadow hooks, and
         // update diluting it.
         obs::Phase sweep("clamr.flux_sweep", timers_, "flux_sweep",
                          "finite_diff");
-        if (use_alt) {
-            // The sweep stores (not accumulates) every cell's
-            // increments, so the alt buffers need sizing only.
-            const std::size_t n = mesh_.num_cells();
-            dh_alt_.resize(n);
-            dhu_alt_.resize(n);
-            dhv_alt_.resize(n);
-            if (native) {
-                flux_sweep_alt_native();
-            } else {
-                flux_sweep_alt_scalar();
-            }
-            fold_alt_increments();
-        } else if (native) {
-            flux_sweep_native();
-        } else {
-            flux_sweep_scalar();
-        }
+        lanes = use_alt ? flux_sweep<alt_compute_t>() : flux_sweep<compute_t>();
         sweep.stop();
         // Shadow the pure sweep increments before the boundary closure
         // touches them — every sampled cell's dh/dhu/dhv is then exactly
@@ -1330,8 +1248,8 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         apply_update(dt);
         if (shadow) shadow_observe_apply_update(dt);
     }
-    const int lanes = !native ? 1 : use_alt ? kAltLanes : kNativeLanes;
-    account_finite_diff(phase.stop(), lanes);
+    account_finite_diff(phase.stop(), lanes,
+                        std::is_same_v<compute_t, float> != use_alt);
 }
 
 template <fp::PrecisionPolicy Policy>

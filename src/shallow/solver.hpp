@@ -23,7 +23,9 @@
 // from a translation unit with the auto-vectorizer disabled, are the
 // paper's scalar baseline; the W == native_lanes instantiations are the
 // vector path. The two are bit-identical per cell, selected at runtime by
-// Config::simd (Table III's vectorization study from one binary).
+// Config::simd (Table III's vectorization study from one binary). A
+// runtime governor (set_governor) picks the sweep's arithmetic type per
+// step; either type runs the same sweep over the same buffers.
 
 #include <array>
 #include <cstdint>
@@ -88,19 +90,14 @@ public:
     /// enforced against the configured geometry at construction time.
     static constexpr std::int32_t kMaxSupportedLevel = 15;
 
-    /// Pack width of the native flux-sweep path for this policy's compute
-    /// type. float-compute policies get twice the lanes of double-compute
-    /// ones — the Table III "minimum precision doubles SIMD width" lever.
-    static constexpr int kNativeLanes = simd::native_lanes<compute_t>;
-
     /// The *other* compute precision, for the runtime governor: a
     /// float-compute policy can be promoted to a double flux sweep mid-run
     /// and a double-compute policy can be demoted to float. Storage
     /// precision never changes — only the kernel-local arithmetic does, so
-    /// switching is just dispatching the other kernel instantiations.
+    /// switching is just instantiating the sweep at the other type (its
+    /// native width is simd::native_lanes of that type).
     using alt_compute_t =
         std::conditional_t<std::is_same_v<compute_t, float>, double, float>;
-    static constexpr int kAltLanes = simd::native_lanes<alt_compute_t>;
 
     /// Throws std::invalid_argument when the geometry is unusable
     /// (non-positive coarse grid or max_level outside
@@ -201,8 +198,9 @@ public:
     }
     /// A tile with fewer than this many regular cells is not worth
     /// gathering; its members join the fallback list instead (a
-    /// topology-only threshold, so every simd/alt variant sees the same
-    /// iteration space). Public so tests can mirror the partition.
+    /// topology-only threshold, so the sweep sees the same iteration space
+    /// at either width and either arithmetic type). Public so tests can
+    /// mirror the partition.
     static constexpr int kMinTileRegular = 16;
 
     /// Rezone bookkeeping accumulated across the run. Phase wall times
@@ -278,29 +276,25 @@ private:
     void finite_diff(double dt);
     [[nodiscard]] detail::FluxArgs<storage_t, compute_t> flux_args();
     [[nodiscard]] detail::TileSweepArgs<storage_t, compute_t> tile_args();
-    // The flux sweep: dense tiles + flux_block_gather over the fallback
-    // cells. The scalar variants live in flux_scalar.cpp, a TU compiled
-    // with the auto-vectorizer off, so the W == 1 path measures true
-    // scalar issue.
-    void flux_sweep_native();
+    // The flux sweep (detail::flux_sweep) at arithmetic type K, compute_t
+    // or alt_compute_t, into dh_/dhu_/dhv_ either way. flux_sweep<K> runs
+    // it at Config::simd's width and returns the lanes it ran at; the
+    // W == 1 sweep lives in flux_scalar.cpp, a TU compiled with the
+    // auto-vectorizer off, so it measures true scalar issue.
+    template <typename K>
+    int flux_sweep();
+    template <typename K>
     void flux_sweep_scalar();
-    // Governed flux path: the same sweep with kernel-local arithmetic in
-    // alt_compute_t. Increments land in the _alt buffers and are folded
-    // back into dh_/dhu_/dhv_ (one cast per cell), so boundary_fluxes and
-    // apply_update stay untouched.
-    [[nodiscard]] detail::FluxArgs<storage_t, alt_compute_t> flux_args_alt();
-    [[nodiscard]] detail::TileSweepArgs<storage_t, alt_compute_t>
-    tile_args_alt();
-    void flux_sweep_alt_native();
-    void flux_sweep_alt_scalar();  // flux_scalar.cpp (no-autovec TU)
-    void fold_alt_increments();
     /// Governor telemetry: observe a strided sample of flux increments on
     /// the float lattice against an in-order double reference and feed the
     /// stats to the attached governor.
     void governed_monitor_flux();
     void boundary_fluxes();
     void apply_update(double dt);
-    void account_finite_diff(double seconds, int lanes);
+    /// Ledger entry of one finite_diff: the sweep's flops in the column of
+    /// the type it computed in (float iff `sweep_float`), the boundary and
+    /// update flops in compute_t's.
+    void account_finite_diff(double seconds, int lanes, bool sweep_float);
     // --shadow-profile hooks (obs/numerics.hpp): re-execute a strided
     // sample of the kernel's work in double precision and record the
     // production result's divergence. All are cold paths, entered only
@@ -323,14 +317,12 @@ private:
     // Per-level geometry, filled once by the constructor from the double
     // expressions the mesh's face builder evaluates: the x-face width
     // cell_dy(l) and the y-face width cell_dx(l) for levels up to
-    // max_level + 1 (a cell's finer neighbors), and 1/cell_area. The alt
-    // widths round through compute_t first, so a governed sweep sees the
-    // widths the static policy rounded.
+    // max_level + 1 (a cell's finer neighbors), and 1/cell_area. A sweep
+    // at either arithmetic type casts these compute_t widths, so a
+    // governed sweep sees the widths the static policy rounded.
     static constexpr std::size_t kLevelTable = kMaxSupportedLevel + 2;
     std::array<compute_t, kLevelTable> width_x_{};
     std::array<compute_t, kLevelTable> width_y_{};
-    std::array<alt_compute_t, kLevelTable> width_x_alt_{};
-    std::array<alt_compute_t, kLevelTable> width_y_alt_{};
     std::array<compute_t, kLevelTable> inv_area_by_level_{};
     // Cell-centric neighbor tables (CLAMR's finite_diff shape): for each
     // cell, up to two sub-face neighbors per side in fixed slots
@@ -357,19 +349,16 @@ private:
     // a gather, so scattered singletons cost ~1/W of a pack each). A tile
     // with fewer than kMinTileRegular regular cells is not worth
     // gathering, so all its members join the fallback instead — a
-    // topology-only decision, so every simd/alt variant sees the same
-    // iteration space (kMinTileRegular, declared with the accessors
-    // above).
+    // topology-only decision, so every sweep sees the same iteration
+    // space (kMinTileRegular, declared with the accessors above).
     std::vector<detail::TileBlock> tile_blocks_;
     std::vector<std::int32_t> tile_src_;  // kTilePadCells per dense tile
     std::vector<TilePart> tile_parts_;    // per-thread rebuild_tiles output
     std::vector<std::int32_t> fallback_cells_;
     std::vector<std::uint8_t> fallback_flag_;
-    // Governed-path state: alt-precision increment buffers, sized by each
-    // alt sweep. Empty until a governed step runs the alt sweep.
+    // Governed-path state (see set_governor); -1 id = not governed.
     fp::PrecisionGovernor* governor_ = nullptr;
     int gov_flux_id_ = -1;
-    std::vector<alt_compute_t> dh_alt_, dhu_alt_, dhv_alt_;
     std::vector<compute_t> cfl_buf_;       // per-cell dt candidates
     std::vector<std::int8_t> flags_scratch_;  // refinement flags, reused
     // Shadow-profile capture scratch (cell indices + pre-update state),

@@ -109,9 +109,11 @@ void shallow_digests(const ShallowCase& sc, std::string& text) {
 // the flux sweep after the warmup step and demotes it again after each
 // clean hysteresis window, so every policy computes steps in both its own
 // and the alternate compute precision: a float-compute policy's promoted
-// steps and a double-compute policy's demoted ones run on the alternate
-// precision's face widths. 100/12 is not exact in float, so these lines
-// pin how those widths are rounded.
+// steps and a double-compute policy's demoted ones cast the compute_t face
+// widths to the other type and store their increments back into compute_t.
+// 100/12 is not exact in float, so these lines pin how those widths are
+// rounded; the half-storage lines pin double arithmetic stored straight
+// into float increments.
 constexpr int kGovernedLevel = 2;
 
 template <typename P>
@@ -163,6 +165,7 @@ TEST(Golden, ShallowCheckpointDigests) {
     governed_digests<fp::MinimumPrecision>(text);
     governed_digests<fp::MixedPrecision>(text);
     governed_digests<fp::FullPrecision>(text);
+    governed_digests<fp::HalfStoragePrecision>(text);
     expect_golden("shallow_checkpoint.txt", text);
 }
 

@@ -6,8 +6,10 @@
 
 #include "fp/governor.hpp"
 #include "obs/json.hpp"
+#include "perf/counters.hpp"
 #include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
+#include "simd/pack.hpp"
 
 using namespace tp;
 
@@ -46,6 +48,26 @@ fp::GovernorConfig enabled_config() {
     cfg.hysteresis = 3;
     cfg.warmup = 2;
     return cfg;
+}
+
+// A budget every reduced step crosses: the governor promotes after the
+// warmup step and demotes after each clean hysteresis window, so a run
+// computes steps in both regimes.
+fp::GovernorConfig zero_budget_config() {
+    fp::GovernorConfig cfg;
+    cfg.enabled = true;
+    cfg.drift_budget_ulp = 0;
+    cfg.tail_budget_frac = 0.0;
+    cfg.warmup = 1;
+    cfg.hysteresis = 3;
+    return cfg;
+}
+
+// The governor's single kernel ran some observed steps reduced (float)
+// and some promoted (double).
+void expect_both_regimes(const fp::PrecisionGovernor& gov) {
+    EXPECT_GT(gov.reduced_steps(0), 0u);
+    EXPECT_LT(gov.reduced_steps(0), gov.observed_steps(0));
 }
 
 }  // namespace
@@ -245,7 +267,8 @@ namespace {
 
 template <typename P>
 std::string clamr_checkpoint(int grid, int levels, simd::Mode mode,
-                             int steps, fp::PrecisionGovernor* gov) {
+                             int steps, fp::PrecisionGovernor* gov,
+                             perf::WorkLedger* ledger = nullptr) {
     shallow::Config cfg;
     cfg.geom = {0.0, 0.0, 100.0, 100.0, grid, grid, levels};
     cfg.simd = mode;
@@ -256,6 +279,7 @@ std::string clamr_checkpoint(int grid, int levels, simd::Mode mode,
         s.step();
         if (gov != nullptr) gov->end_step(s.step_count());
     }
+    if (ledger != nullptr) *ledger = s.ledger();
     std::ostringstream os;
     s.write_checkpoint(os);
     return os.str();
@@ -313,13 +337,7 @@ TEST(GovernorClamr, UncrossableBudgetIsBitInvisibleOnFloatCompute) {
 // if the promoted kernel reproduces the in-order double shadow
 // reference bit-for-bit.
 TEST(GovernorClamr, ZeroBudgetDrivesPromoteThenDemote) {
-    fp::GovernorConfig cfg;
-    cfg.enabled = true;
-    cfg.drift_budget_ulp = 0;
-    cfg.tail_budget_frac = 0.0;
-    cfg.warmup = 1;
-    cfg.hysteresis = 3;
-    fp::PrecisionGovernor gov(cfg);
+    fp::PrecisionGovernor gov(zero_budget_config());
     clamr_checkpoint<fp::MixedPrecision>(16, 2, simd::Mode::Native, 12,
                                          &gov);
     std::size_t promotes = 0;
@@ -330,12 +348,28 @@ TEST(GovernorClamr, ZeroBudgetDrivesPromoteThenDemote) {
     EXPECT_GE(demotes, 1u);
 }
 
+// A governed sweep books its flops in the precision it ran: a
+// minimum-precision run's promoted sweeps compute in double, so the
+// finite_diff ledger entry has a double column next to its float one.
+TEST(GovernorClamr, GovernedSweepBooksFlopsInThePrecisionThatRan) {
+    fp::PrecisionGovernor gov(zero_budget_config());
+    perf::WorkLedger ledger;
+    clamr_checkpoint<fp::MinimumPrecision>(16, 2, simd::Mode::Native, 12,
+                                           &gov, &ledger);
+    expect_both_regimes(gov);
+    const perf::KernelWork* fd = ledger.find("finite_diff");
+    ASSERT_NE(fd, nullptr);
+    EXPECT_GT(fd->flops_sp, 0u);
+    EXPECT_GT(fd->flops_dp, 0u);
+}
+
 // ----------------------------------------------- solver integration: SEM
 
 namespace {
 
 template <typename P>
-std::string sem_fingerprint(int steps, fp::PrecisionGovernor* gov) {
+std::string sem_fingerprint(int steps, fp::PrecisionGovernor* gov,
+                            perf::WorkLedger* ledger = nullptr) {
     sem::SemConfig cfg;
     cfg.nx = cfg.ny = cfg.nz = 2;
     cfg.order = 3;
@@ -347,6 +381,7 @@ std::string sem_fingerprint(int steps, fp::PrecisionGovernor* gov) {
         if (gov != nullptr)
             gov->end_step(static_cast<std::int64_t>(s.step_count()));
     }
+    if (ledger != nullptr) *ledger = s.ledger();
     return s.state_fingerprint();
 }
 
@@ -380,13 +415,7 @@ TEST(GovernorSem, UncrossableBudgetIsBitInvisibleOnFloatCompute) {
 }
 
 TEST(GovernorSem, ZeroBudgetDrivesPromoteThenDemote) {
-    fp::GovernorConfig cfg;
-    cfg.enabled = true;
-    cfg.drift_budget_ulp = 0;
-    cfg.tail_budget_frac = 0.0;
-    cfg.warmup = 1;
-    cfg.hysteresis = 3;
-    fp::PrecisionGovernor gov(cfg);
+    fp::PrecisionGovernor gov(zero_budget_config());
     sem_fingerprint<fp::FullPrecision>(12, &gov);
     std::size_t promotes = 0;
     std::size_t demotes = 0;
@@ -394,4 +423,22 @@ TEST(GovernorSem, ZeroBudgetDrivesPromoteThenDemote) {
         (d.action == "promote" ? promotes : demotes) += 1;
     EXPECT_GE(promotes, 1u);
     EXPECT_GE(demotes, 1u);
+}
+
+// The governed rhs kernels book their flops and lanes in the kernel
+// scalar that ran: a full-precision run's float steps fill the float
+// column, and the volume kernel's widest pack is float's.
+TEST(GovernorSem, GovernedKernelsBookWorkInThePrecisionThatRan) {
+    fp::PrecisionGovernor gov(zero_budget_config());
+    perf::WorkLedger ledger;
+    sem_fingerprint<fp::FullPrecision>(6, &gov, &ledger);
+    expect_both_regimes(gov);
+    for (const char* kernel : {"volume", "surface"}) {
+        const perf::KernelWork* w = ledger.find(kernel);
+        ASSERT_NE(w, nullptr) << kernel;
+        EXPECT_GT(w->flops_sp, 0u) << kernel;
+        EXPECT_GT(w->flops_dp, 0u) << kernel;
+    }
+    EXPECT_EQ(ledger.find("volume")->simd_lanes,
+              static_cast<std::uint32_t>(simd::native_lanes<float>));
 }

@@ -11,8 +11,10 @@
 # per instantiation and exits 1 if any holds no packed
 # add/sub/mul/div/sqrt/min/max/fma, or if OBJECT holds no instantiation at
 # all. Run on solver.cpp.o or dgsem.cpp.o (the native, W > 1 kernels) it
-# must pass; on flux_scalar.cpp.o (the W == 1 flux kernels, compiled with
-# the auto-vectorizer off) it must fail.
+# must pass; solver.cpp.o holds 16 flux instantiations, each policy's
+# tile_block and flux_block_gather at compute_t and at the other float
+# type a governed step computes in. On flux_scalar.cpp.o (the W == 1 flux
+# kernels, compiled with the auto-vectorizer off) it must fail.
 set -euo pipefail
 
 obj=${1:?usage: check_packed_fp.sh OBJECT}
