@@ -3,8 +3,11 @@
 // prints the monthly AWS-style bill for each precision mode, plus the
 // projected energy bill across the paper's architectures.
 //
-//   $ ./cost_planner --runtime-full 31.3 --runtime-min 26.3 \
-//                    --runtime-mixed 29.9 --size-full-gb 0.128
+//   $ ./cost_planner --runtime-full 31.3 --runtime-min 26.3
+//         --runtime-mixed 29.9 --size-full-gb 0.128
+//
+// (one command, wrapped without a trailing backslash: -Werror=comment
+// rejects one at the end of a line comment).
 
 #include <cstdio>
 

@@ -3,8 +3,11 @@
 // conservation and timing, and optionally writes a checkpoint and a
 // line-cut CSV.
 //
-//   $ ./dam_break --precision mixed --grid 128 --levels 2 --steps 400 \
-//                 --cut cut.csv --checkpoint state.ckpt
+//   $ ./dam_break --precision mixed --grid 128 --levels 2 --steps 400
+//         --cut cut.csv --checkpoint state.ckpt
+//
+// (one command, wrapped without a trailing backslash: -Werror=comment
+// rejects one at the end of a line comment).
 
 #include <cstdio>
 #include <fstream>

@@ -2,8 +2,11 @@
 // standalone command-line tool. Simulates a warm bubble rising in a
 // neutrally stratified atmosphere with the DG spectral element solver.
 //
-//   $ ./thermal_bubble --precision single --elements 6 --order 7 \
-//                      --steps 50 --lineout rho.csv
+//   $ ./thermal_bubble --precision single --elements 6 --order 7
+//         --steps 50 --lineout rho.csv
+//
+// (one command, wrapped without a trailing backslash: -Werror=comment
+// rejects one at the end of a line comment).
 
 #include <cstdio>
 #include <fstream>

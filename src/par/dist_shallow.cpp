@@ -18,13 +18,16 @@ namespace {
 constexpr int kTagUp = 1;    // row sent to the rank above (higher y)
 constexpr int kTagDown = 2;  // row sent to the rank below
 
-// Analytic per-cell operation counts. The precompute pass holds the only
-// divide and square root of the step plus the CFL fold; the fused update
-// pass evaluates four oriented Rusanov face fluxes (~22 flops each), the
-// per-direction accumulates, and the conservative apply — increments
+// Analytic per-cell operation counts, read off flux_kernel.hpp's row
+// kernels (a divide, square root, max or |x| is one op, an fma two). The
+// precompute pass holds the only divide and square root of the step:
+// face_quantities (10) plus the CFL fold (2). The fused update pass builds
+// six face sides (face_side, 5 each: the cell's once per direction, one
+// per neighbor), evaluates four faces (face_flux, 17 each), then scales
+// the per-direction differences (12) and applies them (7) — increments
 // never touch memory.
-constexpr std::uint64_t kPreFlopsPerCell = 14;
-constexpr std::uint64_t kUpdateFlopsPerCell = 4 * 22 + 12 + 13;
+constexpr std::uint64_t kPreFlopsPerCell = 10 + 2;
+constexpr std::uint64_t kUpdateFlopsPerCell = 6 * 5 + 4 * 17 + 12 + 7;
 
 /// Greedy cost-proportional row split: rank r's stripe ends where the
 /// cost prefix first crosses its share of the total, with a midpoint rule
@@ -135,7 +138,6 @@ void DistributedShallowSolver<Policy>::allocate_rank(Rank& rk) const {
     rk.v.assign(n, compute_t(0));
     rk.sx.assign(n, compute_t(0));
     rk.sy.assign(n, compute_t(0));
-    rk.p.assign(n, compute_t(0));
     rk.cost_seconds = 0.0;
     rk.wavespeed = compute_t(0);
 }
@@ -276,12 +278,11 @@ template <fp::PrecisionPolicy Policy>
 void DistributedShallowSolver<Policy>::precompute_rows(Rank& rk, int j0,
                                                        int j1) {
     for (int j = j0; j <= j1; ++j) {
+        const std::size_t at = idx(j, 0);
         shallow::detail::RowPreArgs<storage_t, compute_t> args{
-            rk.h.data() + idx(j, 0),  rk.hu.data() + idx(j, 0),
-            rk.hv.data() + idx(j, 0), rk.hf.data() + idx(j, 0),
-            rk.u.data() + idx(j, 0),  rk.v.data() + idx(j, 0),
-            rk.sx.data() + idx(j, 0), rk.sy.data() + idx(j, 0),
-            rk.p.data() + idx(j, 0),  cfg_.nx + 2,
+            rk.h.data() + at,  rk.hu.data() + at, rk.hv.data() + at,
+            rk.hf.data() + at, rk.u.data() + at,  rk.v.data() + at,
+            rk.sx.data() + at, rk.sy.data() + at, cfg_.nx + 2,
             static_cast<compute_t>(cfg_.gravity)};
         const compute_t ws = shallow::detail::dist_pre_row<
             storage_t, compute_t, simd::native_lanes<compute_t>>(args);
@@ -311,22 +312,16 @@ void DistributedShallowSolver<Policy>::update_rows(Rank& rk, int j0,
                                                    int j1, double dt) {
     const compute_t dtdx = static_cast<compute_t>(dt / dx_);
     const compute_t dtdy = static_cast<compute_t>(dt / dy_);
+    const auto gravity = static_cast<compute_t>(cfg_.gravity);
     for (int j = j0; j <= j1; ++j) {
+        const std::size_t at = idx(j, 0);
         shallow::detail::RowUpdateArgs<storage_t, compute_t> args{
-            rk.h.data() + idx(j, 0),
-            rk.hu.data() + idx(j - 1, 0), rk.hv.data() + idx(j - 1, 0),
-            rk.hu.data() + idx(j, 0),     rk.hv.data() + idx(j, 0),
-            rk.hu.data() + idx(j + 1, 0), rk.hv.data() + idx(j + 1, 0),
-            rk.hf.data() + idx(j - 1, 0), rk.u.data() + idx(j - 1, 0),
-            rk.v.data() + idx(j - 1, 0),  rk.sy.data() + idx(j - 1, 0),
-            rk.p.data() + idx(j - 1, 0),  rk.hf.data() + idx(j, 0),
-            rk.u.data() + idx(j, 0),      rk.v.data() + idx(j, 0),
-            rk.sx.data() + idx(j, 0),     rk.sy.data() + idx(j, 0),
-            rk.p.data() + idx(j, 0),      rk.hf.data() + idx(j + 1, 0),
-            rk.u.data() + idx(j + 1, 0),  rk.v.data() + idx(j + 1, 0),
-            rk.sy.data() + idx(j + 1, 0), rk.p.data() + idx(j + 1, 0),
-            rk.h2.data() + idx(j, 0),     rk.hu2.data() + idx(j, 0),
-            rk.hv2.data() + idx(j, 0),    cfg_.nx, dtdx, dtdy};
+            rk.h.data() + at,   rk.hu.data() + at,  rk.hv.data() + at,
+            rk.hf.data() + at,  rk.u.data() + at,   rk.v.data() + at,
+            rk.sx.data() + at,  rk.sy.data() + at,  rk.h2.data() + at,
+            rk.hu2.data() + at, rk.hv2.data() + at, cfg_.nx + 2,
+            cfg_.nx,            dtdx,               dtdy,
+            gravity};
         shallow::detail::dist_update_row<storage_t, compute_t,
                                          simd::native_lanes<compute_t>>(args);
         // Refresh the new row's x mirror ghosts right away, so the next
@@ -529,7 +524,10 @@ double DistributedShallowSolver<Policy>::step() {
 
     // Work accounting: one precompute record (the CFL fold rides that
     // pass) and one fused flux + apply record, split by the precision
-    // they ran in.
+    // they ran in. Both passes load h/hu/hv; the update also writes the
+    // next state and loads hu/hv at the four neighbors too, so it
+    // converts 11 loads and 3 stores. The five compute_t planes are the
+    // compute-precision traffic between the passes.
     const auto cells = static_cast<std::uint64_t>(cfg_.nx) *
                        static_cast<std::uint64_t>(cfg_.ny);
     const auto threads = static_cast<std::uint32_t>(
@@ -537,17 +535,17 @@ double DistributedShallowSolver<Policy>::step() {
     constexpr auto lanes =
         static_cast<std::uint32_t>(simd::native_lanes<compute_t>);
     constexpr bool sp = std::is_same_v<compute_t, float>;
-    constexpr bool mixed = sizeof(storage_t) != sizeof(compute_t);
+    constexpr std::uint64_t conv =
+        perf::charged_conversion<storage_t, compute_t> ? 1 : 0;
+    constexpr std::uint64_t ss = sizeof(storage_t);
+    constexpr std::uint64_t planes = 5 * sizeof(compute_t);
     ledger_.record("dist_pre", s_pre, sp ? cells * kPreFlopsPerCell : 0,
-                   sp ? 0 : cells * kPreFlopsPerCell,
-                   cells * 3 * sizeof(storage_t), mixed ? cells * 3 : 0,
-                   cells * 6 * sizeof(compute_t), threads, lanes);
+                   sp ? 0 : cells * kPreFlopsPerCell, cells * 3 * ss,
+                   conv * cells * 3, cells * planes, threads, lanes);
     ledger_.record("dist_update", s_update,
                    sp ? cells * kUpdateFlopsPerCell : 0,
-                   sp ? 0 : cells * kUpdateFlopsPerCell,
-                   cells * (3 * sizeof(storage_t) + 6 * sizeof(compute_t)),
-                   mixed ? cells * 10 : 0, cells * 3 * sizeof(storage_t),
-                   threads, lanes);
+                   sp ? 0 : cells * kUpdateFlopsPerCell, cells * 6 * ss,
+                   conv * cells * (11 + 3), cells * planes, threads, lanes);
     // Halo bytes per phase, not one lumped counter: every boundary-row
     // payload ships during the post phase and the wait phase claims
     // them, so "dist_halo_post" carries the wire bytes and

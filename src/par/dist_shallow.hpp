@@ -207,12 +207,12 @@ private:
         // old neighbor values after the interior has "applied".
         std::vector<storage_t> h, hu, hv;
         std::vector<storage_t> h2, hu2, hv2;
-        // Per-cell precomputed face quantities, full padded pitch: floored
-        // depth, velocities, per-direction wavespeeds |u|+c / |v|+c, and
-        // the pressure term ½g·h². Written once per cell per step
-        // (flux_kernel.hpp's dist_pre_row) instead of recomputing the
-        // divide/sqrt on both sides of all four faces.
-        std::vector<compute_t> hf, u, v, sx, sy, p;
+        // Per-cell face quantities, full padded pitch: floored depth,
+        // velocities and the per-direction wavespeeds |u|+c / |v|+c.
+        // Written once per cell per step (flux_kernel.hpp's dist_pre_row),
+        // so the update pays no divide or square root; it forms each face
+        // side's momentum fluxes from these and the state.
+        std::vector<compute_t> hf, u, v, sx, sy;
         double cost_seconds = 0.0;   ///< measured sweep time since re-split
         compute_t wavespeed = 0;     ///< this step's max face wavespeed
     };

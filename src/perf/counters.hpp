@@ -11,8 +11,18 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 
 namespace tp::perf {
+
+/// Whether moving a value between types A and B is a conversion that
+/// KernelWork::convert_ops charges: the types differ and one is double.
+/// Only float<->double staging rides the GPU DP pipe; half<->float
+/// conversions are cheap (F16C-class) and are not charged.
+template <typename A, typename B>
+inline constexpr bool charged_conversion =
+    !std::is_same_v<A, B> &&
+    (std::is_same_v<A, double> || std::is_same_v<B, double>);
 
 /// Accumulated work for one named kernel.
 struct KernelWork {

@@ -298,11 +298,12 @@ void SpectralEulerSolver<Policy>::volume_kernel() {
         nodes * (kEosFlopsPerNode +
                  static_cast<std::uint64_t>(30 * np_) + 4);
     const std::uint64_t bytes = nodes * 8 * sizeof(storage_t);
+    // Conversions per node: eight loads (state and base state) from
+    // storage_t into S, and seven residual updates (the gravity source's
+    // two and the divergence's five) from S into compute_t.
     const std::uint64_t converts =
-        (sizeof(storage_t) != sizeof(compute_t) &&
-         std::is_same_v<compute_t, double>)
-            ? nodes * 8
-            : 0;
+        (perf::charged_conversion<storage_t, S> ? nodes * 8 : 0) +
+        (perf::charged_conversion<S, compute_t> ? nodes * 7 : 0);
     account<S>("volume", phase.stop(), flops, bytes, converts,
                nodes * 10 * sizeof(compute_t), simd::native_lanes<S>);
 }
@@ -460,11 +461,12 @@ void SpectralEulerSolver<Policy>::surface_kernel() {
 
     const std::uint64_t flops = face_nodes * kSurfaceFlopsPerFaceNode;
     const std::uint64_t bytes = face_nodes * 16 * sizeof(storage_t);
+    // Conversions per face node: both sides' state loads (10) from
+    // storage_t into S, and both sides' lifted residual updates (10) from
+    // S into compute_t.
     const std::uint64_t converts =
-        (sizeof(storage_t) != sizeof(compute_t) &&
-         std::is_same_v<compute_t, double>)
-            ? face_nodes * 10
-            : 0;
+        (perf::charged_conversion<storage_t, S> ? face_nodes * 10 : 0) +
+        (perf::charged_conversion<S, compute_t> ? face_nodes * 10 : 0);
     account<S>("surface", phase.stop(), flops, bytes, converts,
                face_nodes * 10 * sizeof(compute_t));
 }
@@ -1181,10 +1183,8 @@ void SpectralEulerSolver<Policy>::rk_stage(double a, double b, double dt) {
     if (shadow) shadow_profile_rk_observe();
     account("rk_update", phase.stop(), n * kRkFlopsPerNode,
             n * kVars * 2 * sizeof(storage_t),
-            (sizeof(storage_t) != sizeof(compute_t) &&
-             std::is_same_v<compute_t, double>)
-                ? n * 2 * kVars
-                : 0,
+            perf::charged_conversion<storage_t, compute_t> ? n * 2 * kVars
+                                                           : 0,
             n * kVars * 4 * sizeof(compute_t));
 }
 
@@ -1201,8 +1201,7 @@ void SpectralEulerSolver<Policy>::apply_filter() {
     account("filter", phase.stop(),
             nodes * static_cast<std::uint64_t>(30 * np),
             nodes * kVars * 2 * sizeof(storage_t),
-            (sizeof(storage_t) != sizeof(compute_t) &&
-             std::is_same_v<compute_t, double>)
+            perf::charged_conversion<storage_t, compute_t>
                 ? nodes * kVars * 2
                 : 0,
             nodes * kVars * 2 * sizeof(compute_t),

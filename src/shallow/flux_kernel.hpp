@@ -1,7 +1,9 @@
 #pragma once
 // The Rusanov flux sweep as width-templated kernels (internal to the
 // shallow-water solvers: the AMR solver's sweep, and the distributed
-// solver's row kernels at the end of this file).
+// solver's row kernels at the end of this file). Every kernel evaluates
+// its faces through the three helpers below, so the flux is written once
+// for both solvers.
 //
 // One template body per AMR kernel, instantiated per arithmetic type C
 // and width W:
@@ -43,6 +45,68 @@
 #include "simd/pack.hpp"
 
 namespace tp::shallow::detail {
+
+// --------------------------------------------------------------------------
+// The Rusanov face flux (DESIGN.md §13), shared by flux_block_gather's eight
+// slots, tile_block's four faces and the distributed row kernels. T is the
+// arithmetic type C or a simd::pack of it, and the constants arrive as T,
+// so one body serves scalars and packs with the same bits. A face is
+// oriented along +x or +y with L its lower-coordinate side, so both cells
+// sharing it evaluate the identical expression and the scheme stays
+// exactly conservative. The helpers are force-inlined: an out-of-line copy
+// at a pack type passes its packs through memory and strips the kernels of
+// packed arithmetic, and CI fails if a kernel object defines one.
+
+/// A position's face quantities.
+template <typename T>
+struct FaceQuantities {
+    T h, u, v;  // floored height, velocities
+    T sx, sy;   // wavespeeds |u| + c and |v| + c, c = sqrt(g h)
+};
+
+template <typename T>
+[[nodiscard, gnu::always_inline]] inline FaceQuantities<T> face_quantities(
+    T h, T hu, T hv, T g, T one, T hfloor) {
+    const T hf = simd::max(h, hfloor);
+    const T inv = one / hf;
+    const T u = hu * inv;
+    const T v = hv * inv;
+    const T c = simd::sqrt(g * hf);
+    return {hf, u, v, simd::abs(u) + c, simd::abs(v) + c};
+}
+
+/// One cell's side of a face: the floored height, the momenta normal (qn)
+/// and tangential (qt) to the face, and the two momentum fluxes through
+/// it. The pressure term of the normal one is fused, the only fusion in
+/// the kernels and present identically at every W.
+template <typename T>
+struct FaceSide {
+    T h, qn, qt;
+    T p;  // qn un + g/2 h^2 = fma(g/2 h, h, qn un)
+    T m;  // qn ut
+};
+
+template <typename T>
+[[nodiscard, gnu::always_inline]] inline FaceSide<T> face_side(
+    T h, T qn, T qt, T un, T ut, T half_g) {
+    return {h, qn, qt, simd::fma(half_g * h, h, qn * un), qn * ut};
+}
+
+/// The mass, normal-momentum and tangential-momentum fluxes through one
+/// face whose wavespeed is s = max(sL, sR):
+///   f = ½(fL + fR) − ½ s (qR − qL).
+template <typename T>
+struct FaceFlux {
+    T mass, normal, tangential;
+};
+
+template <typename T>
+[[nodiscard, gnu::always_inline]] inline FaceFlux<T> face_flux(
+    const FaceSide<T>& L, const FaceSide<T>& R, T s, T half) {
+    return {half * (L.qn + R.qn) - half * s * (R.h - L.h),
+            half * (L.p + R.p) - half * s * (R.qn - L.qn),
+            half * (L.m + R.m) - half * s * (R.qt - L.qt)};
+}
 
 /// Pointer bundle for one sweep — everything the kernel reads or writes,
 /// so the W = 1 and W = native drivers cannot drift apart in what they
@@ -117,10 +181,11 @@ inline void flux_block_gather(const FluxArgs<S, D>& A,
                            : spk::gather_partial(p, cells, m);
         return s.template convert<C>();
     };
-    const cpk hC = simd::max(load_state(A.h), hfloor);
+    const cpk hC = load_state(A.h);
     const cpk huC = load_state(A.hu);
     const cpk hvC = load_state(A.hv);
-    const cpk invC = one / hC;
+    const FaceQuantities<cpk> qC =
+        face_quantities(hC, huC, hvC, g, one, hfloor);
     // Per-lane cell and level (dead lanes replicate the last valid cell,
     // exactly like gather_partial).
     std::size_t lane_cell[W];
@@ -150,46 +215,29 @@ inline void flux_block_gather(const FluxArgs<S, D>& A,
             const spk s = spk::gather(p, idx);
             return s.template convert<C>();
         };
-        const cpk hN = simd::max(gather_state(A.h), hfloor);
+        const cpk hN = gather_state(A.h);
         const cpk huN = gather_state(A.hu);
         const cpk hvN = gather_state(A.hv);
-        const cpk invN = one / hN;
-        const cpk qnC = xd ? huC : hvC;
-        const cpk qtC = xd ? hvC : huC;
-        const cpk qnN = xd ? huN : hvN;
-        const cpk qtN = xd ? hvN : huN;
-        // Orient along +x/+y: L is the lower-coordinate side, so both
-        // cells sharing the face evaluate the identical expression and
-        // the scheme stays exactly conservative.
-        const cpk hL = pos ? hC : hN;
-        const cpk hR = pos ? hN : hC;
-        const cpk qnL = pos ? qnC : qnN;
-        const cpk qnR = pos ? qnN : qnC;
-        const cpk qtL = pos ? qtC : qtN;
-        const cpk qtR = pos ? qtN : qtC;
-        const cpk invL = pos ? invC : invN;
-        const cpk invR = pos ? invN : invC;
-        const cpk unL = qnL * invL;
-        const cpk unR = qnR * invR;
-        const cpk utL = qtL * invL;
-        const cpk utR = qtR * invR;
-        const cpk cL = simd::sqrt(g * hL);
-        const cpk cR = simd::sqrt(g * hR);
-        const cpk smax =
-            simd::max(simd::abs(unL) + cL, simd::abs(unR) + cR);
-        const cpk f1 = half * (qnL + qnR) - half * smax * (hR - hL);
-        // Momentum flux qn*un + g/2 h^2 via explicit fused multiply-add —
-        // the only fusion in the kernel, present identically in every W.
-        const cpk pL = simd::fma(half_g * hL, hL, qnL * unL);
-        const cpk pR = simd::fma(half_g * hR, hR, qnR * unR);
-        const cpk f2 = half * (pL + pR) - half * smax * (qnR - qnL);
-        const cpk f3 = half * (qnL * utL + qnR * utR) -
-                       half * smax * (qtR - qtL);
+        const FaceQuantities<cpk> qN =
+            face_quantities(hN, huN, hvN, g, one, hfloor);
+        // hu is the normal momentum of an x face, hv of a y face.
+        const auto face_side_of = [&](const FaceQuantities<cpk>& q,
+                                      const cpk& hu, const cpk& hv) {
+            return xd ? face_side(q.h, hu, hv, q.u, q.v, half_g)
+                      : face_side(q.h, hv, hu, q.v, q.u, half_g);
+        };
+        const FaceSide<cpk> sC = face_side_of(qC, huC, hvC);
+        const FaceSide<cpk> sN = face_side_of(qN, huN, hvN);
+        const cpk wC = xd ? qC.sx : qC.sy;
+        const cpk wN = xd ? qN.sx : qN.sy;
+        const FaceFlux<cpk> f =
+            pos ? face_flux(sC, sN, simd::max(wC, wN), half)
+                : face_flux(sN, sC, simd::max(wN, wC), half);
         // Outward flux leaves the cell on its positive sides.
         const cpk sa = pos ? a : -a;
-        ddh = ddh - sa * f1;
-        ddhu = ddhu - sa * (xd ? f2 : f3);
-        ddhv = ddhv - sa * (xd ? f3 : f2);
+        ddh = ddh - sa * f.mass;
+        ddhu = ddhu - sa * (xd ? f.normal : f.tangential);
+        ddhv = ddhv - sa * (xd ? f.tangential : f.normal);
     };
     side.template operator()<0>();
     side.template operator()<1>();
@@ -213,9 +261,8 @@ inline void flux_block_gather(const FluxArgs<S, D>& A,
 // ghost ring and a padded per-position source map; the sweep gathers
 // storage state through the map into dense tiles, runs a per-position
 // PRECOMPUTE pass (one divide + one sqrt per position, the same trade as
-// the distributed row kernels below), then a fused four-face update
-// whose every expression transliterates flux_block_gather's slot
-// arithmetic token for token, faces accumulated in slot order W, E, S, N.
+// the distributed row kernels below), then a fused four-face update, faces
+// accumulated in slot order W, E, S, N.
 //
 // Bitwise contract with flux_block_gather, per regular cell (each side
 // holds exactly one neighbor: in-domain and same-or-coarser level): the
@@ -223,12 +270,10 @@ inline void flux_block_gather(const FluxArgs<S, D>& A,
 // as area, L/R resolve to the tile's west/east/south/north positions, and
 // skipping the zero-area slots is exact — the accumulators start at +0, a
 // zero area times any finite flux is ±0, and +0 - (±0) is +0, so the
-// empty slots never change a bit. The precomputed quantities reproduce
-// the same bits the slot path computes freshly on each side of each face
-// (max -> if identical per lane; |u| via ternary differs from simd::abs
-// only at -0, which + c > 0 erases; the pressure fma is std::fma, the
-// same correctly rounded operation as simd::fma). Irregular cells are
-// computed by flux_block_gather. W is again only a symbol tag: W == 1
+// empty slots never change a bit. Both kernels evaluate each face through
+// the same helpers, and the precomputed planes hold exactly the values the
+// slot path computes freshly on each side of each face. Irregular cells
+// are computed by flux_block_gather. W is again only a symbol tag: W == 1
 // lives in the no-autovec TU (flux_scalar.cpp), W == native in the
 // -ffp-contract=off solver TU where the annotated loops vectorize. The
 // loops' `if(simd: W > 1)` clause keeps the W == 1 copies scalar: an
@@ -305,41 +350,49 @@ inline void tile_block(const TileSweepArgs<S, D>& A, const TileBlock& B) {
         }
     }
 
-    // Per-position face quantities, evaluated once instead of freshly on
-    // both sides of every face (each recomputation reproduces the same
-    // bits, so this removes work, not rounding steps).
+    // Per-position face quantities and momentum fluxes, evaluated once
+    // instead of freshly on both sides of every face (each evaluation
+    // gives the same bits, so this removes work, not rounding steps).
     C hf[kTilePadCells];  // floored height
     C qx[kTilePadCells];  // hu at compute precision
     C qy[kTilePadCells];  // hv at compute precision
     C sx[kTilePadCells];  // |u| + c
     C sy[kTilePadCells];  // |v| + c
-    C px[kTilePadCells];  // x pressure flux  fma(g/2 h, h, hu u)
-    C py[kTilePadCells];  // y pressure flux  fma(g/2 h, h, hv v)
-    C mx[kTilePadCells];  // hu v (x-face transverse momentum)
-    C my[kTilePadCells];  // hv u (y-face transverse momentum)
+    C px[kTilePadCells];  // x-face normal momentum flux
+    C py[kTilePadCells];  // y-face normal momentum flux
+    C mx[kTilePadCells];  // x-face tangential momentum flux hu v
+    C my[kTilePadCells];  // y-face tangential momentum flux hv u
 #pragma omp simd if(simd: W > 1)
     for (int p = 0; p < kTilePadCells; ++p) {
-        const C h = static_cast<C>(th[p]);
-        const C hc = h > hfloor ? h : hfloor;
-        const C inv = one / hc;
         const C hu = static_cast<C>(thu[p]);
         const C hv = static_cast<C>(thv[p]);
-        const C u = hu * inv;
-        const C v = hv * inv;
-        const C c = std::sqrt(g * hc);
-        const C au = u < C(0) ? -u : u;
-        const C av = v < C(0) ? -v : v;
-        hf[p] = hc;
+        const FaceQuantities<C> q =
+            face_quantities(static_cast<C>(th[p]), hu, hv, g, one, hfloor);
+        const FaceSide<C> x = face_side(q.h, hu, hv, q.u, q.v, half_g);
+        const FaceSide<C> y = face_side(q.h, hv, hu, q.v, q.u, half_g);
+        hf[p] = q.h;
         qx[p] = hu;
         qy[p] = hv;
-        sx[p] = au + c;
-        sy[p] = av + c;
-        px[p] = std::fma(half_g * hc, hc, hu * u);
-        py[p] = std::fma(half_g * hc, hc, hv * v);
-        mx[p] = hu * v;
-        my[p] = hv * u;
+        sx[p] = q.sx;
+        sy[p] = q.sy;
+        px[p] = x.p;
+        py[p] = y.p;
+        mx[p] = x.m;
+        my[p] = y.m;
     }
+    // A position's side of an x or a y face, read back from the planes.
+    const auto x_side = [&](int p) {
+        return FaceSide<C>{hf[p], qx[p], qy[p], px[p], mx[p]};
+    };
+    const auto y_side = [&](int p) {
+        return FaceSide<C>{hf[p], qy[p], qx[p], py[p], my[p]};
+    };
 
+    // Outward face areas in slot order W, E, S, N.
+    const C aw = -wx;
+    const C ae = wx;
+    const C as = -wy;
+    const C an = wy;
     C odh[kTileCells];
     C odhu[kTileCells];
     C odhv[kTileCells];
@@ -349,66 +402,25 @@ inline void tile_block(const TileSweepArgs<S, D>& A, const TileBlock& B) {
 #pragma omp simd if(simd: W > 1)
         for (int ii = 0; ii < kTileSize; ++ii) {
             const int p = r + ii;
-            C ddh = C(0);
-            C ddhu = C(0);
-            C ddhv = C(0);
-            {  // west face (slot 0): L = p-1, R = p, outward area -wx
-                const C s = sx[p - 1] > sx[p] ? sx[p - 1] : sx[p];
-                const C f1 = half * (qx[p - 1] + qx[p]) -
-                             half * s * (hf[p] - hf[p - 1]);
-                const C f2 = half * (px[p - 1] + px[p]) -
-                             half * s * (qx[p] - qx[p - 1]);
-                const C f3 = half * (mx[p - 1] + mx[p]) -
-                             half * s * (qy[p] - qy[p - 1]);
-                const C sa = -wx;
-                ddh = ddh - sa * f1;
-                ddhu = ddhu - sa * f2;
-                ddhv = ddhv - sa * f3;
-            }
-            {  // east face (slot 2): L = p, R = p+1, outward area +wx
-                const C s = sx[p] > sx[p + 1] ? sx[p] : sx[p + 1];
-                const C f1 = half * (qx[p] + qx[p + 1]) -
-                             half * s * (hf[p + 1] - hf[p]);
-                const C f2 = half * (px[p] + px[p + 1]) -
-                             half * s * (qx[p + 1] - qx[p]);
-                const C f3 = half * (mx[p] + mx[p + 1]) -
-                             half * s * (qy[p + 1] - qy[p]);
-                const C sa = wx;
-                ddh = ddh - sa * f1;
-                ddhu = ddhu - sa * f2;
-                ddhv = ddhv - sa * f3;
-            }
-            {  // south face (slot 4): L = p-pad, R = p, outward area -wy
-                const int q = p - kTilePad;
-                const C s = sy[q] > sy[p] ? sy[q] : sy[p];
-                const C f1 =
-                    half * (qy[q] + qy[p]) - half * s * (hf[p] - hf[q]);
-                const C f2 =
-                    half * (py[q] + py[p]) - half * s * (qy[p] - qy[q]);
-                const C f3 =
-                    half * (my[q] + my[p]) - half * s * (qx[p] - qx[q]);
-                const C sa = -wy;
-                ddh = ddh - sa * f1;
-                ddhu = ddhu - sa * f3;  // y faces swap the momentum rows
-                ddhv = ddhv - sa * f2;
-            }
-            {  // north face (slot 6): L = p, R = p+pad, outward area +wy
-                const int q = p + kTilePad;
-                const C s = sy[p] > sy[q] ? sy[p] : sy[q];
-                const C f1 =
-                    half * (qy[p] + qy[q]) - half * s * (hf[q] - hf[p]);
-                const C f2 =
-                    half * (py[p] + py[q]) - half * s * (qy[q] - qy[p]);
-                const C f3 =
-                    half * (my[p] + my[q]) - half * s * (qx[q] - qx[p]);
-                const C sa = wy;
-                ddh = ddh - sa * f1;
-                ddhu = ddhu - sa * f3;
-                ddhv = ddhv - sa * f2;
-            }
-            odh[o + ii] = ddh;
-            odhu[o + ii] = ddhu;
-            odhv[o + ii] = ddhv;
+            const int ps = p - kTilePad;
+            const int pn = p + kTilePad;
+            const FaceFlux<C> fw = face_flux(x_side(p - 1), x_side(p),
+                                             simd::max(sx[p - 1], sx[p]),
+                                             half);
+            const FaceFlux<C> fe = face_flux(x_side(p), x_side(p + 1),
+                                             simd::max(sx[p], sx[p + 1]),
+                                             half);
+            const FaceFlux<C> fs = face_flux(y_side(ps), y_side(p),
+                                             simd::max(sy[ps], sy[p]), half);
+            const FaceFlux<C> fn = face_flux(y_side(p), y_side(pn),
+                                             simd::max(sy[p], sy[pn]), half);
+            // y faces swap the momentum rows.
+            odh[o + ii] = C(0) - aw * fw.mass - ae * fe.mass -
+                          as * fs.mass - an * fn.mass;
+            odhu[o + ii] = C(0) - aw * fw.normal - ae * fe.normal -
+                           as * fs.tangential - an * fn.tangential;
+            odhv[o + ii] = C(0) - aw * fw.tangential - ae * fe.tangential -
+                           as * fs.normal - an * fn.normal;
         }
     }
 
@@ -459,42 +471,30 @@ void flux_sweep(const TileSweepArgs<S, D>& T, const FluxArgs<S, D>& F,
 //
 // Rows carry one mirror ghost column per side (h copied, hu negated, hv
 // copied), so every access in the sweep is unit-stride: the center row
-// shifts by ±1 for the x faces and the south/north rows align at the same
-// column for the y faces. No gathers, no per-cell branching.
+// shifts by ±1 for the x faces and the south/north rows, one row pitch
+// away, align at the same column for the y faces. No gathers, no per-cell
+// branching.
 //
-// The step is split into a per-cell PRECOMPUTE pass and a fused
-// FLUX + APPLY pass. The historic per-cell lambda evaluated 1/h, u, v and
-// sqrt(g h) freshly on both sides of all four faces — eight divides and
-// eight square roots per cell per step, plus nine more in the separate dt
-// scan. Every one of those recomputations produces the same bits as the
-// cell's own values, so the precompute pass evaluates them once per cell
-// (one divide, one square root) and the update pass just reloads them:
+// The step is split into a per-cell PRECOMPUTE pass, which evaluates each
+// cell's face_quantities (one divide, one square root) into five planes,
 //
-//   hf = max(h, 1e-8)        inv = 1/hf      u = hu*inv     v = hv*inv
-//   c  = sqrt(g*hf)          sx = |u| + c    sy = |v| + c
-//   p  = (g/2 * hf) * hf     (the pressure term of the momentum flux)
+//   hf = max(h, 1e-8)   u = hu/hf   v = hv/hf   sx = |u| + c   sy = |v| + c
 //
-// Expressions match the historic lambda token for token, so the
-// refactor is bitwise invisible — it removes redundant work, not
-// rounding steps.
+// and a fused FLUX + APPLY pass, which builds each face side from those
+// planes and the state and evaluates the four faces with face_flux, as the
+// tile kernel does.
 //
-// sx/sy double as the CFL quantities: the historic dt pass scanned the
-// grid for max(|u| + c, |v| + c) == max(sx, sy), so the precompute pass
-// folds that row maximum as it stores and the separate full-grid dt scan
-// is redundant — bit-for-bit, because a max reduction performs no
-// rounding and is therefore order-free. (Mirror ghost columns replicate
+// sx/sy double as the CFL quantities, so the precompute pass folds the row
+// maximum of max(sx, sy) as it stores: a max reduction performs no
+// rounding, so the fold is order-free, and mirror ghost columns replicate
 // an owned cell's h and |momenta|, so folding the full padded row equals
-// folding the owned cells.) Having dt before any flux work is what lets
-// the flux and apply passes fuse: the update row consumes the precomputed
-// quantities, applies the increments in registers, and writes the NEXT
-// state buffers directly — the historic six full-field increment arrays
-// (and the separate apply sweep over them) are gone. Because the old
-// state is never written mid-step, the fusion cannot reorder any read:
-// every stencil load still sees exactly the old values, and the update
-// expressions transliterate the historic apply (a compute_t store +
-// reload of the increments was a bitwise identity anyway).
+// folding the owned cells. Having dt before any flux work is what lets the
+// flux and apply passes fuse: the update row applies the increments in
+// registers and writes the NEXT state buffers directly, and because the
+// old state is never written mid-step, every stencil load sees exactly
+// the old values.
 
-/// Per-cell precomputed face quantities for one padded row (see above).
+/// One padded row's precompute: the state row in, the five plane rows out.
 /// Pointers are positioned at column 0; n covers the full padded width.
 template <typename S, typename C>
 struct RowPreArgs {
@@ -506,7 +506,6 @@ struct RowPreArgs {
     C* v;
     C* sx;
     C* sy;
-    C* p;
     int n;  // padded columns to process (nx + 2)
     C gravity;
 };
@@ -517,144 +516,101 @@ template <typename S, typename C, int W>
 inline C dist_pre_row(const RowPreArgs<S, C>& A) {
     static_assert(W >= 1, "width tag must be positive");
     const C g = A.gravity;
-    const C half_g = C(0.5) * A.gravity;
+    const C one = C(1);
     const C hfloor = C(1e-8);
     C ws = C(0);
 #pragma omp simd reduction(max : ws) if(simd: W > 1)
     for (int i = 0; i < A.n; ++i) {
-        const C h = static_cast<C>(A.h[i]);
-        // Ternary forms mirror simd::max / simd::abs exactly.
-        const C hf = h > hfloor ? h : hfloor;
-        const C inv = C(1) / hf;
-        const C u = static_cast<C>(A.hu[i]) * inv;
-        const C v = static_cast<C>(A.hv[i]) * inv;
-        const C c = std::sqrt(g * hf);
-        const C sx = (u < C(0) ? -u : u) + c;
-        const C sy = (v < C(0) ? -v : v) + c;
-        A.hf[i] = hf;
-        A.u[i] = u;
-        A.v[i] = v;
-        A.sx[i] = sx;
-        A.sy[i] = sy;
-        A.p[i] = (half_g * hf) * hf;
-        const C s = sx > sy ? sx : sy;
-        ws = s > ws ? s : ws;
+        const FaceQuantities<C> q = face_quantities(
+            static_cast<C>(A.h[i]), static_cast<C>(A.hu[i]),
+            static_cast<C>(A.hv[i]), g, one, hfloor);
+        A.hf[i] = q.h;
+        A.u[i] = q.u;
+        A.v[i] = q.v;
+        A.sx[i] = q.sx;
+        A.sy[i] = q.sy;
+        ws = simd::max(simd::max(q.sx, q.sy), ws);
     }
     return ws;
 }
 
-/// One row of the fused distributed update. All pointers are positioned
-/// at column 0 (the west ghost column); cells i in [1, nx] are updated.
-/// S/C/N are the south (j-1), center (j) and north (j+1) OLD rows; raw
-/// momenta come from the old state, everything else from the precompute.
-/// h2/hu2/hv2 are the NEXT state buffers (never aliasing the old rows).
+/// One row of the fused distributed update. The pointers are positioned at
+/// column 0 (the west ghost column) of the center row j, of the OLD state
+/// and of the precompute planes; the south (j-1) and north (j+1) rows are
+/// one pitch before and after. Cells i in [1, nx] are updated into the
+/// NEXT state rows h2/hu2/hv2 (never aliasing the old rows).
 template <typename S, typename C>
 struct RowUpdateArgs {
-    const S* hC;  // old center height, for the conservative update
-    const S* huS;
-    const S* hvS;
-    const S* huC;
-    const S* hvC;
-    const S* huN;
-    const S* hvN;
-    const C* hfS;
-    const C* uS;
-    const C* vS;
-    const C* syS;
-    const C* pS;
-    const C* hfC;
-    const C* uC;
-    const C* vC;
-    const C* sxC;
-    const C* syC;
-    const C* pC;
-    const C* hfN;
-    const C* uN;
-    const C* vN;
-    const C* syN;
-    const C* pN;
-    S* h2;  // next-state row, same indexing
+    const S* h;
+    const S* hu;
+    const S* hv;
+    const C* hf;
+    const C* u;
+    const C* v;
+    const C* sx;
+    const C* sy;
+    S* h2;
     S* hu2;
     S* hv2;
-    int nx;  // interior cells in the row
-    C dtdx;  // dt / dx and dt / dy, already in compute precision
+    int pitch;  // padded row length (nx + 2)
+    int nx;     // interior cells in the row
+    C dtdx;     // dt / dx and dt / dy, already in compute precision
     C dtdy;
+    C gravity;
 };
 
-/// Whole-row fused flux + apply sweep. Per oriented face,
-///   smax = max(sL, sR),   f = ½(qL + qR) − ½ smax (R − L),
-/// with the same expression order as the historic per-cell lambda (the
-/// precomputed quantities substitute bitwise); L is always the
-/// lower-coordinate side, so both cells sharing a face evaluate the
-/// identical expression and the scheme stays exactly conservative.
-/// Separate x / y increments — the two directions carry different metric
-/// factors dt/dx vs dt/dy — which feed the conservative update in
-/// registers and write the next-state row directly.
+/// Whole-row fused flux + apply sweep: the four faces of each cell through
+/// face_flux, then separate x / y increments — the two directions carry
+/// different metric factors dt/dx vs dt/dy — which feed the conservative
+/// update in registers and write the next-state row directly.
 template <typename S, typename C, int W>
 inline void dist_update_row(const RowUpdateArgs<S, C>& A) {
     static_assert(W >= 1, "width tag must be positive");
     const C half = C(0.5);
+    const C half_g = C(0.5) * A.gravity;
     const C hfloor = C(1e-8);
     const C dtdx = A.dtdx;
     const C dtdy = A.dtdy;
+    const int pitch = A.pitch;
+    // A position's side of an x or a y face: hu is the normal momentum of
+    // an x face (index i-1 picks up the mirror ghost at i == 1), hv of a
+    // y face.
+    const auto x_side = [&](int k) {
+        return face_side(A.hf[k], static_cast<C>(A.hu[k]),
+                         static_cast<C>(A.hv[k]), A.u[k], A.v[k], half_g);
+    };
+    const auto y_side = [&](int k) {
+        return face_side(A.hf[k], static_cast<C>(A.hv[k]),
+                         static_cast<C>(A.hu[k]), A.v[k], A.u[k], half_g);
+    };
 #pragma omp simd if(simd: W > 1)
     for (int i = 1; i <= A.nx; ++i) {
-        const C huC = static_cast<C>(A.huC[i]);
-        const C hvC = static_cast<C>(A.hvC[i]);
-        const C hfC = A.hfC[i], uC = A.uC[i], vC = A.vC[i];
-        const C sxC = A.sxC[i], syC = A.syC[i], pC = A.pC[i];
-        // West face (normal +x; index i-1 picks up the mirror ghost at
-        // i == 1). qn = hu, un = u, ut = v, qt = hv.
-        const C huW = static_cast<C>(A.huC[i - 1]);
-        const C hvW = static_cast<C>(A.hvC[i - 1]);
-        const C sW = A.sxC[i - 1] > sxC ? A.sxC[i - 1] : sxC;
-        const C fW0 = half * (huW + huC) - half * sW * (hfC - A.hfC[i - 1]);
-        const C fW1 = half * (huW * A.uC[i - 1] + A.pC[i - 1] + huC * uC +
-                              pC) -
-                      half * sW * (huC - huW);
-        const C fW2 = half * (huW * A.vC[i - 1] + huC * vC) -
-                      half * sW * (hvC - hvW);
-        // East face.
-        const C huE = static_cast<C>(A.huC[i + 1]);
-        const C hvE = static_cast<C>(A.hvC[i + 1]);
-        const C sE = sxC > A.sxC[i + 1] ? sxC : A.sxC[i + 1];
-        const C fE0 = half * (huC + huE) - half * sE * (A.hfC[i + 1] - hfC);
-        const C fE1 = half * (huC * uC + pC + huE * A.uC[i + 1] +
-                              A.pC[i + 1]) -
-                      half * sE * (huE - huC);
-        const C fE2 = half * (huC * vC + huE * A.vC[i + 1]) -
-                      half * sE * (hvE - hvC);
-        // South face (normal +y; normal/tangential momenta swap roles:
-        // qn = hv, un = v, ut = u, qt = hu).
-        const C huS = static_cast<C>(A.huS[i]);
-        const C hvS = static_cast<C>(A.hvS[i]);
-        const C sS = A.syS[i] > syC ? A.syS[i] : syC;
-        const C fS0 = half * (hvS + hvC) - half * sS * (hfC - A.hfS[i]);
-        const C fS1 = half * (hvS * A.vS[i] + A.pS[i] + hvC * vC + pC) -
-                      half * sS * (hvC - hvS);
-        const C fS2 = half * (hvS * A.uS[i] + hvC * uC) -
-                      half * sS * (huC - huS);
-        // North face.
-        const C huN = static_cast<C>(A.huN[i]);
-        const C hvN = static_cast<C>(A.hvN[i]);
-        const C sN = syC > A.syN[i] ? syC : A.syN[i];
-        const C fN0 = half * (hvC + hvN) - half * sN * (A.hfN[i] - hfC);
-        const C fN1 = half * (hvC * vC + pC + hvN * A.vN[i] + A.pN[i]) -
-                      half * sN * (hvN - hvC);
-        const C fN2 = half * (hvC * uC + hvN * A.uN[i]) -
-                      half * sN * (huN - huC);
-        // Conservative update, increments in registers. Transliterates
-        // the historic apply: old + dt/dx * (x increment) + dt/dy * (y
-        // increment), left-associated, height floored before the storage
-        // round. (The y faces' f1 is the hv flux and f2 the hu flux —
-        // normal and tangential momenta swap roles.)
-        const C hOld = static_cast<C>(A.hC[i]);
-        const C hNew = hOld + dtdx * (fW0 - fE0) + dtdy * (fS0 - fN0);
+        const int is = i - pitch;
+        const int in = i + pitch;
+        const FaceSide<C> cx = x_side(i);
+        const FaceSide<C> cy = y_side(i);
+        const FaceFlux<C> fw =
+            face_flux(x_side(i - 1), cx, simd::max(A.sx[i - 1], A.sx[i]),
+                      half);
+        const FaceFlux<C> fe =
+            face_flux(cx, x_side(i + 1), simd::max(A.sx[i], A.sx[i + 1]),
+                      half);
+        const FaceFlux<C> fs =
+            face_flux(y_side(is), cy, simd::max(A.sy[is], A.sy[i]), half);
+        const FaceFlux<C> fn =
+            face_flux(cy, y_side(in), simd::max(A.sy[i], A.sy[in]), half);
+        // Conservative update, increments in registers: old + dt/dx * (x
+        // increment) + dt/dy * (y increment), left-associated, height
+        // floored before the storage round. The y faces' normal flux is
+        // the hv flux and their tangential flux the hu flux.
+        const C hNew = static_cast<C>(A.h[i]) + dtdx * (fw.mass - fe.mass) +
+                       dtdy * (fs.mass - fn.mass);
         A.h2[i] = static_cast<S>(hNew < hfloor ? hfloor : hNew);
-        A.hu2[i] = static_cast<S>(huC + dtdx * (fW1 - fE1) +
-                                  dtdy * (fS2 - fN2));
-        A.hv2[i] = static_cast<S>(hvC + dtdx * (fW2 - fE2) +
-                                  dtdy * (fS1 - fN1));
+        A.hu2[i] = static_cast<S>(cx.qn + dtdx * (fw.normal - fe.normal) +
+                                  dtdy * (fs.tangential - fn.tangential));
+        A.hv2[i] = static_cast<S>(cx.qt +
+                                  dtdx * (fw.tangential - fe.tangential) +
+                                  dtdy * (fs.normal - fn.normal));
     }
 }
 

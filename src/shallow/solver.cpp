@@ -872,10 +872,7 @@ double ShallowWaterSolver<Policy>::compute_dt() {
                    sp ? n * kCflFlopsPerCell : 0,
                    sp ? 0 : n * kCflFlopsPerCell,
                    n * 3 * sizeof(storage_t),
-                   (sizeof(storage_t) != sizeof(compute_t) &&
-                    std::is_same_v<compute_t, double>)
-                       ? 3 * n
-                       : 0,
+                   perf::charged_conversion<storage_t, compute_t> ? 3 * n : 0,
                    n * sizeof(compute_t),
                    static_cast<std::uint32_t>(util::max_threads()));
     const double dt = config_.courant * static_cast<double>(dt_min);
@@ -1179,9 +1176,9 @@ void ShallowWaterSolver<Policy>::shadow_profile_remap(
 }
 
 template <fp::PrecisionPolicy Policy>
+template <typename K>
 void ShallowWaterSolver<Policy>::account_finite_diff(double seconds,
-                                                     int lanes,
-                                                     bool sweep_float) {
+                                                     int lanes) {
     const std::uint64_t bfaces = mesh_.boundary_faces().size();
     const std::uint64_t cells = mesh_.num_cells();
     constexpr std::uint64_t ss = sizeof(storage_t);
@@ -1199,13 +1196,17 @@ void ShallowWaterSolver<Policy>::account_finite_diff(double seconds,
     const std::uint64_t bytes = cells * 6 * ss + cells * 4 * ss;
     const std::uint64_t bytes_compute = cells * 6 * sc;
     constexpr bool sp = std::is_same_v<compute_t, float>;
-    const std::uint64_t flops_sp = (sweep_float ? sweep : 0) + (sp ? rest : 0);
-    // Only float<->double staging rides the GPU DP pipe; half<->float
-    // conversions are cheap (F16C-class) and are not charged.
+    const std::uint64_t flops_sp =
+        (std::is_same_v<K, float> ? sweep : 0) + (sp ? rest : 0);
+    // Conversions: the sweep loads the state of each cell and of its
+    // kSlots neighbors from storage_t into K and stores three increments
+    // from K into compute_t; the apply converts three state loads and
+    // three stores between storage_t and compute_t.
     const std::uint64_t converts =
-        (ss != sc && std::is_same_v<compute_t, double>)
-            ? cells * (3 + kSlots * 3 + 6)
-            : 0;
+        (perf::charged_conversion<storage_t, K> ? cells * (3 + kSlots * 3)
+                                                : 0) +
+        (perf::charged_conversion<K, compute_t> ? cells * 3 : 0) +
+        (perf::charged_conversion<storage_t, compute_t> ? cells * 6 : 0);
     ledger_.record("finite_diff", seconds, flops_sp, sweep + rest - flops_sp,
                    bytes, converts, bytes_compute,
                    static_cast<std::uint32_t>(util::max_threads()),
@@ -1248,8 +1249,11 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         apply_update(dt);
         if (shadow) shadow_observe_apply_update(dt);
     }
-    account_finite_diff(phase.stop(), lanes,
-                        std::is_same_v<compute_t, float> != use_alt);
+    const double seconds = phase.stop();
+    if (use_alt)
+        account_finite_diff<alt_compute_t>(seconds, lanes);
+    else
+        account_finite_diff<compute_t>(seconds, lanes);
 }
 
 template <fp::PrecisionPolicy Policy>

@@ -291,10 +291,12 @@ private:
     void governed_monitor_flux();
     void boundary_fluxes();
     void apply_update(double dt);
-    /// Ledger entry of one finite_diff: the sweep's flops in the column of
-    /// the type it computed in (float iff `sweep_float`), the boundary and
-    /// update flops in compute_t's.
-    void account_finite_diff(double seconds, int lanes, bool sweep_float);
+    /// Ledger entry of one finite_diff whose sweep computed in K: the
+    /// sweep's flops in K's column and its conversions charged by K (state
+    /// loads from storage_t, increment stores to compute_t); the boundary
+    /// and update flops and the apply's conversions by compute_t.
+    template <typename K>
+    void account_finite_diff(double seconds, int lanes);
     // --shadow-profile hooks (obs/numerics.hpp): re-execute a strided
     // sample of the kernel's work in double precision and record the
     // production result's divergence. All are cold paths, entered only

@@ -33,6 +33,7 @@
 // that build's test_golden checks them against the same digests.
 
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 
 namespace tp::simd {
@@ -234,6 +235,18 @@ template <typename T, int W>
     for (int i = 0; i < W; ++i) r.v[i] = fma(a.v[i], b.v[i], c.v[i]);
     return r;
 }
+
+/// One-lane forms of max, abs, sqrt and fma: the same per-lane expression
+/// on a plain scalar, so a kernel helper written once over T or
+/// pack<T, W> computes the same bits at both.
+template <std::floating_point T>
+[[nodiscard]] inline T max(T a, T b) { return a > b ? a : b; }
+template <std::floating_point T>
+[[nodiscard]] inline T abs(T a) { return a < T(0) ? -a : a; }
+template <std::floating_point T>
+[[nodiscard]] inline T sqrt(T a) { return std::sqrt(a); }
+template <std::floating_point T>
+[[nodiscard]] inline T fma(T a, T b, T c) { return std::fma(a, b, c); }
 
 /// Horizontal reductions, evaluated in lane order so the result is a plain
 /// left fold — deterministic and order-stable for tests and tallies.

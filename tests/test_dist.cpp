@@ -126,6 +126,34 @@ TEST(DistInvariance, FullPrecision) {
     invariance_matrix<fp::FullPrecision>();
 }
 
+// Lake at rest: a uniform depth with zero momentum is an exact steady
+// state of the scheme (each face carries the same pressure flux on both
+// sides and no mass or tangential flux), so the depth must hold bit for
+// bit at every rank count and schedule, through the halo rows and the
+// mirror walls.
+template <typename P>
+void lake_at_rest() {
+    const auto depth =
+        static_cast<double>(static_cast<typename P::storage_t>(7.3));
+    for (const int ranks : {1, 3})
+        for (const bool overlap : {false, true}) {
+            auto s = make_solver<P>(24, ranks, overlap);
+            s.initialize_dam_break(7.3, 7.3, 0.2);
+            s.run(30);
+            for (const double h : s.gather_height())
+                ASSERT_EQ(h, depth)
+                    << ranks << " ranks, overlap=" << overlap;
+        }
+}
+
+TEST(DistLakeAtRest, MinimumPrecision) {
+    lake_at_rest<fp::MinimumPrecision>();
+}
+TEST(DistLakeAtRest, MixedPrecision) {
+    lake_at_rest<fp::MixedPrecision>();
+}
+TEST(DistLakeAtRest, FullPrecision) { lake_at_rest<fp::FullPrecision>(); }
+
 // Periodic measured-cost rebalancing is bitwise invisible as well — the
 // re-split carries every row over exactly.
 TEST(DistInvariance, PeriodicLoadBalancingDoesNotChangeState) {

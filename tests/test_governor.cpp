@@ -348,9 +348,10 @@ TEST(GovernorClamr, ZeroBudgetDrivesPromoteThenDemote) {
     EXPECT_GE(demotes, 1u);
 }
 
-// A governed sweep books its flops in the precision it ran: a
+// A governed sweep books its work in the precision it ran: a
 // minimum-precision run's promoted sweeps compute in double, so the
-// finite_diff ledger entry has a double column next to its float one.
+// finite_diff ledger entry has a double column next to its float one,
+// and conversions for the sweeps' float-to-double state loads.
 TEST(GovernorClamr, GovernedSweepBooksFlopsInThePrecisionThatRan) {
     fp::PrecisionGovernor gov(zero_budget_config());
     perf::WorkLedger ledger;
@@ -361,6 +362,7 @@ TEST(GovernorClamr, GovernedSweepBooksFlopsInThePrecisionThatRan) {
     ASSERT_NE(fd, nullptr);
     EXPECT_GT(fd->flops_sp, 0u);
     EXPECT_GT(fd->flops_dp, 0u);
+    EXPECT_GT(fd->convert_ops, 0u);
 }
 
 // ----------------------------------------------- solver integration: SEM
@@ -425,9 +427,10 @@ TEST(GovernorSem, ZeroBudgetDrivesPromoteThenDemote) {
     EXPECT_GE(demotes, 1u);
 }
 
-// The governed rhs kernels book their flops and lanes in the kernel
-// scalar that ran: a full-precision run's float steps fill the float
-// column, and the volume kernel's widest pack is float's.
+// The governed rhs kernels book their flops, conversions and lanes in
+// the kernel scalar that ran: a full-precision run's float steps fill the
+// float column and narrow double state loads to float, and the volume
+// kernel's widest pack is float's.
 TEST(GovernorSem, GovernedKernelsBookWorkInThePrecisionThatRan) {
     fp::PrecisionGovernor gov(zero_budget_config());
     perf::WorkLedger ledger;
@@ -438,6 +441,7 @@ TEST(GovernorSem, GovernedKernelsBookWorkInThePrecisionThatRan) {
         ASSERT_NE(w, nullptr) << kernel;
         EXPECT_GT(w->flops_sp, 0u) << kernel;
         EXPECT_GT(w->flops_dp, 0u) << kernel;
+        EXPECT_GT(w->convert_ops, 0u) << kernel;
     }
     EXPECT_EQ(ledger.find("volume")->simd_lanes,
               static_cast<std::uint32_t>(simd::native_lanes<float>));

@@ -66,6 +66,45 @@ TYPED_TEST(ShallowPolicyTest, LakeAtRestStaysAtRest) {
     for (const double h : cut) EXPECT_NEAR(h, 10.0, 1e-5);
 }
 
+// Lake at rest on an adapted mesh: a uniform depth with zero momentum is
+// an exact steady state of the scheme (each face carries the same
+// pressure flux on both sides and no mass or tangential flux), so it must
+// hold bit for bit across the level jumps of a dam-break-refined mesh and,
+// with rezoning on, through the remap that coarsens it.
+TYPED_TEST(ShallowPolicyTest, LakeAtRestHoldsExactlyOnAnAdaptedMesh) {
+    using Solver = tsh::ShallowWaterSolver<TypeParam>;
+    using storage_t = typename TypeParam::storage_t;
+    tsh::Config cfg = small_config(12, 3);
+    auto refined = make_run<Solver>(cfg, 12);
+    std::stringstream buf;
+    refined.write_checkpoint(buf);
+    tsh::CheckpointData rest = Solver::read_checkpoint(buf);
+    ASSERT_TRUE(std::any_of(rest.cells.begin(), rest.cells.end(),
+                            [](const auto& c) { return c.level == 3; }));
+    std::fill(rest.h.begin(), rest.h.end(), 7.3);
+    std::fill(rest.hu.begin(), rest.hu.end(), 0.0);
+    std::fill(rest.hv.begin(), rest.hv.end(), 0.0);
+    const auto depth = static_cast<double>(static_cast<storage_t>(7.3));
+    for (const int rezone : {0, 4}) {
+        cfg.rezone_interval = rezone;
+        Solver s(cfg);
+        s.restore_checkpoint(rest);
+        s.run(40);
+        std::stringstream out;
+        s.write_checkpoint(out);
+        const auto d = Solver::read_checkpoint(out);
+        if (rezone == 0)
+            EXPECT_EQ(d.cells.size(), rest.cells.size());
+        else
+            EXPECT_LT(d.cells.size(), rest.cells.size());
+        for (std::size_t c = 0; c < d.cells.size(); ++c) {
+            ASSERT_EQ(d.h[c], depth) << "rezone " << rezone << ", cell " << c;
+            ASSERT_EQ(d.hu[c], 0.0) << "rezone " << rezone << ", cell " << c;
+            ASSERT_EQ(d.hv[c], 0.0) << "rezone " << rezone << ", cell " << c;
+        }
+    }
+}
+
 TYPED_TEST(ShallowPolicyTest, PositiveTimestep) {
     tsh::ShallowWaterSolver<TypeParam> s(small_config(16, 1));
     s.initialize_dam_break({});
