@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -462,7 +461,7 @@ void flux_sweep(const TileSweepArgs<S, D>& T, const FluxArgs<S, D>& F,
 // the explicit pack form), the distributed rows are pure unit-stride, so
 // the kernels are written as flat `#pragma omp simd` loops of scalar IEEE
 // expressions, like the tile kernel. The only instantiation is
-// W == native_lanes<C>, in the -ffp-contract=off solver TU, where the
+// W == native_lanes<C>, in dist_shallow.cpp (-ffp-contract=off), where the
 // vectorizer lowers the annotated loop to full-width SIMD; in a
 // -DTP_ENABLE_SIMD=OFF build W is 1 and the `if(simd: W > 1)` clause keeps
 // the loops scalar. Every operation is an individually rounded IEEE op in
@@ -478,7 +477,7 @@ void flux_sweep(const TileSweepArgs<S, D>& T, const FluxArgs<S, D>& F,
 // The step is split into a per-cell PRECOMPUTE pass, which evaluates each
 // cell's face_quantities (one divide, one square root) into five planes,
 //
-//   hf = max(h, 1e-8)   u = hu/hf   v = hv/hf   sx = |u| + c   sy = |v| + c
+//   hf = max(h, 1e-8)   u = hu·(1/hf)  v = hv·(1/hf)  sx = |u|+c  sy = |v|+c
 //
 // and a fused FLUX + APPLY pass, which builds each face side from those
 // planes and the state and evaluates the four faces with face_flux, as the
