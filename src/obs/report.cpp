@@ -491,7 +491,11 @@ double RunSummary::rezone_share() const {
 RunSummary summarize(const std::vector<std::string>& lines,
                      Problems* problems) {
     RunSummary out;
+    // The first record names the stream: a run's metrics open with a
+    // manifest, and a bench-table stream (TP_TABLE_JSON) holds only
+    // table records.
     bool manifest_first = false;
+    bool table_stream = false;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const auto report = [&](const std::string& what) {
             if (problems != nullptr)
@@ -515,14 +519,19 @@ RunSummary summarize(const std::vector<std::string>& lines,
             ++out.invalid_lines;
             continue;
         }
-        if (i == 0) manifest_first = type->as_string() == "manifest";
+        if (i == 0) {
+            manifest_first = type->as_string() == "manifest";
+            table_stream = type->as_string() == "table";
+        } else if (table_stream && type->as_string() != "table") {
+            report("a bench-table stream holds only table records");
+        }
         if (const RecordType* rt = find_type(type->as_string());
             rt == nullptr)
             ++out.unknown_records;
         else if (rt->digest != nullptr)
             rt->digest(*rec, out);
     }
-    if (problems != nullptr) {
+    if (problems != nullptr && !table_stream) {
         if (!manifest_first)
             problems->push_back("does not start with a manifest record");
         if (out.steps == 0) problems->push_back("has no step records");

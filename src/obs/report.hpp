@@ -183,6 +183,8 @@ struct RecordType {
 /// With `problems`, also checks the stream: every line is a record that
 /// passes check_record(), the first is a manifest, and at least one is a
 /// step; each violation appends one "line N: ..." or stream-level entry.
+/// A stream whose first record is a table is a bench-table stream
+/// (TP_TABLE_JSON): there every record must be a table instead.
 [[nodiscard]] RunSummary summarize(
     const std::vector<std::string>& lines,
     std::vector<std::string>* problems = nullptr);

@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 
@@ -151,6 +152,83 @@ struct LevelRun {
     std::int32_t end;  // one past the last cell
     std::int32_t level;
 };
+
+// --------------------------------------------------------------------------
+// The height store of a conservative update, shared by the AMR apply below
+// and the distributed row kernel: the new height h, computed in C, stored
+// as S with a floor at 1e-8. It rounds first and floors the rounded value,
+//
+//   hs = S(h);   store hs < sfloor ? sfloor : hs;   sfloor = S(C(1e-8)),
+//
+// which stores the bits of S(h < 1e-8 ? 1e-8 : h) for every input, NaN
+// included: rounding is monotone and sfloor is nonzero, so a value that
+// rounds onto sfloor has sfloor's bits either way. The order is for the
+// vectorizer. Under GCC's default -ftrapping-math a narrowing conversion
+// may trap, so one evaluated under a condition (the floor-first form)
+// keeps the loop scalar ("control flow in loop"), while an unconditional
+// conversion followed by a select vectorizes. Half storage keeps the
+// floor-first form: Half(1e-8) is +0, so a height that lands at -1e-9
+// would store -0 after the round where the floor-first form stores +0.
+template <typename S, typename C>
+[[nodiscard, gnu::always_inline]] inline S floored_height(C h) {
+    if constexpr (std::floating_point<S>) {
+        const S hs = static_cast<S>(h);
+        const S sfloor = static_cast<S>(C(1e-8));
+        return hs < sfloor ? sfloor : hs;
+    } else {
+        const C hfloor = C(1e-8);
+        return static_cast<S>(h < hfloor ? hfloor : h);
+    }
+}
+
+/// Everything the AMR solver's conservative update touches: the state, the
+/// increments of the sweep, the same-level runs and the per-level inverse
+/// cell area.
+template <typename S, typename C>
+struct ApplyArgs {
+    S* h;
+    S* hu;
+    S* hv;
+    C* dh;
+    C* dhu;
+    C* dhv;
+    const LevelRun* runs;
+    std::size_t nruns;
+    const C* inv_area;  // per level
+    C dt;
+};
+
+/// The AMR solver's conservative update, state += dt / area * increment,
+/// over the same-level runs, zeroing the increments for the next sweep.
+/// 1/area is a run constant. W only gates the inner loop's `omp simd`;
+/// the arithmetic is per cell and identical at every width. Like the
+/// sweep, the native form compiles in solver.cpp and the W == 1 form in
+/// flux_scalar.cpp, so `--simd=scalar` runs a scalar apply.
+template <typename S, typename C, int W>
+void apply_update(const ApplyArgs<S, C>& A) {
+    static_assert(W >= 1, "width tag must be positive");
+    S* const h = A.h;
+    S* const hu = A.hu;
+    S* const hv = A.hv;
+    C* const dh = A.dh;
+    C* const dhu = A.dhu;
+    C* const dhv = A.dhv;
+    const auto nruns = static_cast<std::int64_t>(A.nruns);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t r = 0; r < nruns; ++r) {
+        const LevelRun run = A.runs[r];
+        const C s = A.dt * A.inv_area[run.level];
+#pragma omp simd if(simd: W > 1)
+        for (std::int32_t c = run.begin; c < run.end; ++c) {
+            h[c] = floored_height<S>(static_cast<C>(h[c]) + s * dh[c]);
+            hu[c] = static_cast<S>(static_cast<C>(hu[c]) + s * dhu[c]);
+            hv[c] = static_cast<S>(static_cast<C>(hv[c]) + s * dhv[c]);
+            dh[c] = C(0);
+            dhu[c] = C(0);
+            dhv[c] = C(0);
+        }
+    }
+}
 
 /// Flux update for an arbitrary list of `m` cells (1 <= m <= W): lane l
 /// computes cell cells[l]. Every cell evaluates its eight sub-face slots
@@ -567,7 +645,6 @@ inline void dist_update_row(const RowUpdateArgs<S, C>& A) {
     static_assert(W >= 1, "width tag must be positive");
     const C half = C(0.5);
     const C half_g = C(0.5) * A.gravity;
-    const C hfloor = C(1e-8);
     const C dtdx = A.dtdx;
     const C dtdy = A.dtdy;
     const int pitch = A.pitch;
@@ -600,11 +677,11 @@ inline void dist_update_row(const RowUpdateArgs<S, C>& A) {
             face_flux(cy, y_side(in), simd::max(A.sy[i], A.sy[in]), half);
         // Conservative update, increments in registers: old + dt/dx * (x
         // increment) + dt/dy * (y increment), left-associated, height
-        // floored before the storage round. The y faces' normal flux is
-        // the hv flux and their tangential flux the hu flux.
+        // floored after the storage round (floored_height). The y faces'
+        // normal flux is the hv flux and their tangential flux the hu flux.
         const C hNew = static_cast<C>(A.h[i]) + dtdx * (fw.mass - fe.mass) +
                        dtdy * (fs.mass - fn.mass);
-        A.h2[i] = static_cast<S>(hNew < hfloor ? hfloor : hNew);
+        A.h2[i] = floored_height<S>(hNew);
         A.hu2[i] = static_cast<S>(cx.qn + dtdx * (fw.normal - fe.normal) +
                                   dtdy * (fs.tangential - fn.tangential));
         A.hv2[i] = static_cast<S>(cx.qt +

@@ -849,13 +849,13 @@ double ShallowWaterSolver<Policy>::compute_dt() {
 #pragma omp simd
         for (std::int32_t c = run.begin; c < run.end; ++c) {
             const compute_t hh =
-                std::max(static_cast<compute_t>(h[c]), hfloor);
+                simd::max(hfloor, static_cast<compute_t>(h[c]));
             const compute_t inv = compute_t(1) / hh;
             const compute_t u =
                 std::fabs(static_cast<compute_t>(hu[c])) * inv;
             const compute_t v =
                 std::fabs(static_cast<compute_t>(hv[c])) * inv;
-            const compute_t wave = std::max(u, v) + std::sqrt(g * hh);
+            const compute_t wave = simd::max(v, u) + std::sqrt(g * hh);
             cfl[c] = dx / wave;
         }
     }
@@ -997,37 +997,27 @@ void ShallowWaterSolver<Policy>::boundary_fluxes() {
     }
 }
 
+// The conservative update (detail::apply_update) at the sweep's width: the
+// scalar twin (apply_update_scalar) lives in flux_scalar.cpp with the
+// scalar sweep, so a --simd=scalar finite_diff runs no vector code.
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::apply_update(double dt) {
-    storage_t* h = h_.data();
-    storage_t* hu = hu_.data();
-    storage_t* hv = hv_.data();
-    compute_t* dh = dh_.data();
-    compute_t* dhu = dhu_.data();
-    compute_t* dhv = dhv_.data();
-    const compute_t dtc = static_cast<compute_t>(dt);
-    const compute_t hfloor = static_cast<compute_t>(1e-8);
-    const detail::LevelRun* runs = level_runs_.data();
-    const auto nruns = static_cast<std::int64_t>(level_runs_.size());
-    // 1/area is a run constant, like compute_dt's spacing.
-#pragma omp parallel for schedule(static)
-    for (std::int64_t r = 0; r < nruns; ++r) {
-        const detail::LevelRun run = runs[r];
-        const compute_t s =
-            dtc * inv_area_by_level_[static_cast<std::size_t>(run.level)];
-#pragma omp simd
-        for (std::int32_t c = run.begin; c < run.end; ++c) {
-            h[c] = static_cast<storage_t>(
-                std::max(static_cast<compute_t>(h[c]) + s * dh[c], hfloor));
-            hu[c] = static_cast<storage_t>(static_cast<compute_t>(hu[c]) +
-                                           s * dhu[c]);
-            hv[c] = static_cast<storage_t>(static_cast<compute_t>(hv[c]) +
-                                           s * dhv[c]);
-            dh[c] = compute_t(0);
-            dhu[c] = compute_t(0);
-            dhv[c] = compute_t(0);
-        }
+    if (!simd::use_native(config_.simd)) {
+        apply_update_scalar(dt);
+        return;
     }
+    detail::apply_update<storage_t, compute_t, simd::native_lanes<compute_t>>(
+        apply_args(dt));
+}
+
+template <fp::PrecisionPolicy Policy>
+auto ShallowWaterSolver<Policy>::apply_args(double dt)
+    -> detail::ApplyArgs<storage_t, compute_t> {
+    return {h_.data(),          hu_.data(),
+            hv_.data(),         dh_.data(),
+            dhu_.data(),        dhv_.data(),
+            level_runs_.data(), level_runs_.size(),
+            inv_area_by_level_.data(), static_cast<compute_t>(dt)};
 }
 
 // --- shadow-divergence hooks (--shadow-profile) ---------------------------

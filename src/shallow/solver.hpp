@@ -290,7 +290,13 @@ private:
     /// stats to the attached governor.
     void governed_monitor_flux();
     void boundary_fluxes();
+    // The conservative update (detail::apply_update) at the sweep's width:
+    // native, or its W == 1 form in flux_scalar.cpp (apply_update_scalar)
+    // when Config::simd runs the sweep scalar.
     void apply_update(double dt);
+    void apply_update_scalar(double dt);
+    [[nodiscard]] detail::ApplyArgs<storage_t, compute_t> apply_args(
+        double dt);
     /// Ledger entry of one finite_diff whose sweep computed in K: the
     /// sweep's flops in K's column and its conversions charged by K (state
     /// loads from storage_t, increment stores to compute_t); the boundary

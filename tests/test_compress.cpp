@@ -344,8 +344,12 @@ TEST(BitsForTolerance, SmallestRateMeetingTheBound) {
         const int bits = tc::bits_for_tolerance(peak, tol);
         ASSERT_GE(bits, 2);
         ASSERT_LE(bits, 32);
-        if (bits < 32) EXPECT_LE(tc::error_bound(peak, bits), tol);
-        if (bits > 2) EXPECT_GT(tc::error_bound(peak, bits - 1), tol);
+        if (bits < 32) {
+            EXPECT_LE(tc::error_bound(peak, bits), tol);
+        }
+        if (bits > 2) {
+            EXPECT_GT(tc::error_bound(peak, bits - 1), tol);
+        }
     }
 }
 

@@ -388,15 +388,17 @@ TEST(AmrMesh, CopySpansExactMaximalSorted) {
             // Maximality: the entry just before/after is not a Copy
             // continuing the same shift (adjacent spans always differ in
             // shift, otherwise they would be one span).
-            if (k > 0 && spans[k - 1].end == s.begin)
+            if (k > 0 && spans[k - 1].end == s.begin) {
                 EXPECT_NE(spans[k - 1].shift, s.shift);
+            }
             const auto before = s.begin - 1;
-            if (before >= 0 && !in_span[static_cast<std::size_t>(before)])
+            if (before >= 0 && !in_span[static_cast<std::size_t>(before)]) {
                 EXPECT_TRUE(entries[static_cast<std::size_t>(before)].kind !=
                                 tmsh::RemapKind::Copy ||
                             before - entries[static_cast<std::size_t>(before)]
                                          .src[0] !=
                                 s.shift);
+            }
             prev_end = s.end;
         }
         for (std::size_t c = 0; c < entries.size(); ++c)

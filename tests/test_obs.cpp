@@ -53,8 +53,12 @@ void* operator new(std::size_t size) {
     throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined, GCC sees free() take a pointer from the operator
+// new above and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace {
 
@@ -747,8 +751,16 @@ TEST(Flush, PoisonedRunKeepsStreamValidAndNumericsFlushed) {
     { TP_OBS_SPAN("death.span"); }
     // Throw across a noexcept boundary: std::terminate fires at the throw
     // point itself, which the death-test harness cannot catch — the same
-    // handler an exception escaping main() reaches.
+    // handler an exception escaping main() reaches. -Wterminate flags
+    // exactly that, and here it is the point.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wterminate"
+#endif
     [&]() noexcept { throw std::runtime_error("uncaught"); }();
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
     std::abort();
 }
 

@@ -549,6 +549,39 @@ TEST(Schema, SummarizeChecksTheStreamWhenAsked) {
               0u);
 }
 
+TEST(Schema, BenchTableStreamHoldsOnlyValidTables) {
+    tp::util::TextTable first("Table A");
+    first.set_header({"mode", "seconds"});
+    first.add_row({"scalar", "0.150"});
+    tp::util::TextTable second("Table B");
+    second.set_header({"x"});
+    const std::string a = first.json_str();
+    const std::string b = second.json_str();
+    const auto problems_of = [](const std::vector<std::string>& lines) {
+        std::vector<std::string> problems;
+        (void)report::summarize(lines, &problems);
+        return problems;
+    };
+    using Problems = std::vector<std::string>;
+    // What TP_TABLE_JSON collects: no manifest and no step is needed.
+    EXPECT_TRUE(problems_of({a}).empty());
+    EXPECT_TRUE(problems_of({a, b}).empty());
+    // Every line is still checked against the table record.
+    const Problems no_rows = problems_of(
+        {a, "{\"type\":\"table\",\"title\":\"t\",\"header\":[]}"});
+    ASSERT_EQ(no_rows.size(), 1u);
+    EXPECT_EQ(no_rows[0].rfind("line 2: table record is missing", 0), 0u)
+        << no_rows[0];
+    EXPECT_NE(no_rows[0].find("'rows'"), std::string::npos) << no_rows[0];
+    EXPECT_EQ(problems_of({a, emitter_stream()[1]}),
+              Problems{"line 2: a bench-table stream holds only table "
+                       "records"});
+    // A run's metrics may carry a table, and still need their manifest
+    // and steps.
+    EXPECT_EQ(problems_of({emitter_stream()[0], a}),
+              Problems{"has no step records"});
+}
+
 // ---------------------------------------------------------- trace file
 
 std::string trace_doc(const std::vector<std::string>& events) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "analysis/linecut.hpp"
 #include "fp/half_policy.hpp"
@@ -205,6 +208,117 @@ TEST(Shallow, VectorizedAndScalarKernelsAgree) {
     const auto b = ss.sample_height_vertical(50.2, 101);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+// ------------------------------------------------------ floored height store
+namespace {
+
+/// The store floored_height replaced: floor in C, then round to S.
+template <typename S, typename C>
+S floor_then_round(C h) {
+    const C hfloor = C(1e-8);
+    return static_cast<S>(h < hfloor ? hfloor : h);
+}
+
+/// Heights around every edge of the floor, in C: NaN, signed zeros,
+/// negatives, C's subnormals, exactly C(1e-8), and S(1e-8) with its S
+/// neighbours and the C values either side of each.
+template <typename S, typename C>
+std::vector<C> floor_edge_inputs() {
+    using lim = std::numeric_limits<C>;
+    const S sfloor = static_cast<S>(C(1e-8));
+    std::vector<C> in = {lim::quiet_NaN(),   -lim::quiet_NaN(),
+                         C(0),               -C(0),
+                         C(-1),              C(-1e-9),
+                         C(-1e-8),           -lim::infinity(),
+                         lim::denorm_min(),  -lim::denorm_min(),
+                         lim::min() / C(4),  C(1e-8),
+                         C(1),               lim::max(),
+                         lim::infinity()};
+    for (const S s : {std::nextafter(sfloor, S(0)), sfloor,
+                      std::nextafter(sfloor, S(1))}) {
+        const C c = static_cast<C>(s);
+        in.insert(in.end(), {c, std::nextafter(c, C(0)),
+                             std::nextafter(c, C(1))});
+    }
+    return in;
+}
+
+template <typename T>
+auto bits_of(T v) {
+    if constexpr (sizeof(T) == 4)
+        return std::bit_cast<std::uint32_t>(v);
+    else
+        return std::bit_cast<std::uint64_t>(v);
+}
+
+/// The AMR apply at width W over `h`: one level run, dt * 1/area = 1 and
+/// every height increment dh, so each cell stores h + dh.
+template <typename S, typename C, int W>
+std::vector<S> apply_heights(std::vector<S> h, const std::vector<C>& dh) {
+    const auto n = h.size();
+    std::vector<S> hu(n, S(0.0f));
+    std::vector<S> hv(n, S(0.0f));
+    std::vector<C> d = dh;
+    std::vector<C> du(n, C(0));
+    std::vector<C> dv(n, C(0));
+    const tsh::detail::LevelRun run{0, static_cast<std::int32_t>(n), 0};
+    const C inv_area[1] = {C(1)};
+    tsh::detail::apply_update<S, C, W>({h.data(), hu.data(), hv.data(),
+                                        d.data(), du.data(), dv.data(), &run,
+                                        1, inv_area, C(1)});
+    return h;
+}
+
+template <typename S, typename C>
+void expect_floor_after_round_matches() {
+    const std::vector<C> in = floor_edge_inputs<S, C>();
+    for (const C x : in)
+        EXPECT_EQ(bits_of(tsh::detail::floored_height<S>(x)),
+                  bits_of(floor_then_round<S>(x)))
+            << "h = " << x;
+    // The apply loop at native width and at W = 1 stores the same bits:
+    // h = -0 keeps -0 + dh == dh for every input.
+    const std::vector<S> h0(in.size(), -S(0));
+    const auto native =
+        apply_heights<S, C, tp::simd::native_lanes<C>>(h0, in);
+    const auto scalar = apply_heights<S, C, 1>(h0, in);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        const C sum = static_cast<C>(-S(0)) + in[i];
+        EXPECT_EQ(bits_of(native[i]), bits_of(floor_then_round<S>(sum)))
+            << "dh = " << in[i];
+        EXPECT_EQ(bits_of(scalar[i]), bits_of(native[i])) << "dh = " << in[i];
+    }
+}
+
+}  // namespace
+
+TEST(FlooredHeight, FloatFromDoubleMatchesFloorBeforeRound) {
+    expect_floor_after_round_matches<float, double>();
+}
+
+TEST(FlooredHeight, FloatFromFloatMatchesFloorBeforeRound) {
+    expect_floor_after_round_matches<float, float>();
+}
+
+TEST(FlooredHeight, DoubleFromDoubleMatchesFloorBeforeRound) {
+    expect_floor_after_round_matches<double, double>();
+}
+
+// Half(1e-8) is +0 and Half(-1e-9) is -0, so Half storage keeps the
+// floor-first store: a height that lands at -1e-9 stores +0.
+TEST(FlooredHeight, HalfStorageStoresPositiveZeroBelowTheFloor) {
+    EXPECT_EQ(tf::Half(1e-8f).bits(), 0x0000u);
+    EXPECT_EQ(tf::Half(-1e-9f).bits(), 0x8000u);
+    EXPECT_EQ(tsh::detail::floored_height<tf::Half>(-1e-9f).bits(), 0x0000u);
+    const std::vector<tf::Half> h0(3, tf::Half(0.0f));
+    const std::vector<float> dh(3, -1e-9f);
+    for (const tf::Half& h :
+         apply_heights<tf::Half, float, tp::simd::native_lanes<float>>(h0,
+                                                                       dh))
+        EXPECT_EQ(h.bits(), 0x0000u);
+    for (const tf::Half& h : apply_heights<tf::Half, float, 1>(h0, dh))
+        EXPECT_EQ(h.bits(), 0x0000u);
 }
 
 // -------------------------------------------------------------- checkpoint

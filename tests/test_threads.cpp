@@ -224,7 +224,9 @@ TEST_F(ThreadsTest, ThreadsOptionZeroKeepsRuntimeDefault) {
 TEST_F(ThreadsTest, SetThreadsZeroRestoresDefault) {
     const int def = tutil::max_threads();
     tutil::set_threads(3);
-    if (tutil::openmp_enabled()) EXPECT_EQ(tutil::max_threads(), 3);
+    if (tutil::openmp_enabled()) {
+        EXPECT_EQ(tutil::max_threads(), 3);
+    }
     tutil::set_threads(0);
     EXPECT_EQ(tutil::max_threads(), def);
     EXPECT_GE(tutil::hardware_threads(), 1);
